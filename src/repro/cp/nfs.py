@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .context import RegistrationState, SMContext, UEContext
 
@@ -106,6 +106,8 @@ class SMF:
     def __init__(self, name: str = "smf"):
         self.name = name
         self.sm_contexts: Dict[int, SMContext] = {}
+        #: The live context of each (SUPI, PDU session id).
+        self._by_session: Dict[Tuple[str, int], SMContext] = {}
         self._seid_counter = itertools.count(1)
         self._seq_counter = itertools.count(1)
         self.handled = 0
@@ -118,13 +120,20 @@ class SMF:
             supi=supi, pdu_session_id=pdu_session_id, seid=seid, dnn=dnn
         )
         self.sm_contexts[seid] = ctx
+        self._by_session[(supi, pdu_session_id)] = ctx
         return ctx
 
     def context_for(self, supi: str, pdu_session_id: int) -> SMContext:
-        for ctx in self.sm_contexts.values():
-            if ctx.supi == supi and ctx.pdu_session_id == pdu_session_id:
-                return ctx
-        raise KeyError(f"no SM context for {supi}/{pdu_session_id}")
+        ctx = self._by_session.get((supi, pdu_session_id))
+        if ctx is None:
+            raise KeyError(f"no SM context for {supi}/{pdu_session_id}")
+        return ctx
+
+    def release_sm_context(self, supi: str, pdu_session_id: int) -> SMContext:
+        """Drop a released PDU session's context (after its N4 delete)."""
+        ctx = self._by_session.pop((supi, pdu_session_id))
+        del self.sm_contexts[ctx.seid]
+        return ctx
 
     def next_sequence(self) -> int:
         return next(self._seq_counter)
@@ -140,6 +149,10 @@ class SMF:
     def restore(self, data: Dict[str, Any]) -> None:
         self.sm_contexts = {
             int(seid): SMContext.restore(ctx) for seid, ctx in data.items()
+        }
+        self._by_session = {
+            (ctx.supi, ctx.pdu_session_id): ctx
+            for ctx in self.sm_contexts.values()
         }
 
 

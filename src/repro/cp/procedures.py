@@ -999,6 +999,7 @@ class ProcedureRunner:
                 seid=sm.seid, sequence=core.smf.next_sequence()
             )
             yield from core.n4_exchange(deletion)
+            core.smf.release_sm_context(ue.supi, session_id)
             core.dl_routes.pop(sm.dl_teid, None)
             core.ue_ip_pool.release(sm.ue_ip)
             yield from self._sbi(

@@ -15,8 +15,8 @@ Two studies back the hot/cold session-state split:
 * :func:`flow_cache_ablation_sweep` measures the flow-cache
   capacity/associativity trade: hit rate and per-packet cost as the
   cache shrinks below the flow working set (capacity misses) and as
-  associativity drops at fixed capacity (conflict misses, via
-  :class:`~repro.up.flow_cache.SetAssociativeFlowCache`).
+  associativity drops at fixed capacity (conflict misses, via the
+  ablation-only :class:`SetAssociativeFlowCache` defined here).
 
 Records from both land in ``BENCH_cache.json`` via
 ``benchmarks/record_bench.py --suite cache``.
@@ -25,16 +25,28 @@ Records from both land in ``BENCH_cache.json`` via
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, Hashable, List, Optional, Sequence
 
 from ..classifier import Rule, exact
 from ..net.packet import Direction, FiveTuple, Packet
 from ..pfcp import ies as pfcp_ies
 from ..sim import Environment
-from ..up import FAR, FARAction, PDR, SessionTable, UPFSession, UPFUserPlane
-from ..up.flow_cache import SetAssociativeFlowCache
-from ..up.session import packet_key
+from ..analysis import races as _races
+from ..up import (
+    DEFAULT_FLOW_CACHE_CAPACITY,
+    FAR,
+    PDR,
+    FARAction,
+    FlowCache,
+    FlowCacheEntry,
+    RuleEpoch,
+    SessionTable,
+    UPFSession,
+    UPFUserPlane,
+    packet_key,
+)
 
 __all__ = [
     "WORKING_SET_SESSIONS",
@@ -42,6 +54,7 @@ __all__ = [
     "ABLATION_WAYS",
     "WorkingSetRow",
     "CacheAblationRow",
+    "SetAssociativeFlowCache",
     "build_session_table",
     "working_set_packets",
     "working_set_sweep",
@@ -57,6 +70,11 @@ ABLATION_CAPACITIES = (256, 1024, 4096, 8192)
 #: Associativity sweep at fixed capacity (conflict misses); 0 means
 #: the production fully-associative LRU cache.
 ABLATION_WAYS = (1, 2, 4, 8, 0)
+
+_PER_PACKET_ONLY = (
+    "SetAssociativeFlowCache supports the per-packet pipeline only "
+    "(associativity ablation); use FlowCache for batched bursts"
+)
 
 UE_BASE = 0x0A000001
 TEID_BASE = 0x10000
@@ -263,6 +281,136 @@ def working_set_sweep(
     return rows
 
 
+class SetAssociativeFlowCache(FlowCache):
+    """A set-associative flow cache for the capacity/associativity
+    ablation.
+
+    Hardware exact-match caches are not fully associative: a key hashes
+    to one of ``capacity // ways`` sets and competes only with the
+    ``ways`` entries of that set, so colliding flows can thrash a set
+    long before the cache is globally full (conflict misses).  This
+    variant reproduces that behavior — per-set LRU over ``ways``
+    entries — so the ablation can separate capacity misses (fixed by a
+    bigger cache) from conflict misses (fixed by more ways).
+
+    Only the per-packet data path (:meth:`lookup` / :meth:`insert`) is
+    set-aware; the ablation drives :meth:`UPFUserPlane.process`, which
+    takes the per-packet front half.  The batched bulk paths are
+    refused rather than silently resolved with full associativity.
+    """
+
+    __slots__ = ("ways", "_sets")
+
+    def __init__(
+        self,
+        epoch: RuleEpoch,
+        capacity: int = DEFAULT_FLOW_CACHE_CAPACITY,
+        ways: int = 4,
+    ) -> None:
+        super().__init__(epoch, capacity)
+        if ways <= 0 or capacity % ways != 0:
+            raise ValueError(
+                f"ways must divide capacity: ways={ways!r}, "
+                f"capacity={capacity!r}"
+            )
+        self.ways = ways
+        self._sets: list = [OrderedDict() for _ in range(capacity // ways)]
+
+    def _set_for(self, key: Hashable) -> "OrderedDict":
+        return self._sets[hash(key) % len(self._sets)]
+
+    def lookup(self, key: Hashable) -> Optional[FlowCacheEntry]:
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_read(self, "entries")
+        entries = self._set_for(key)
+        entry = entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        if entry.generation != self._epoch.value:
+            del entries[key]
+            self.stale += 1
+            self.misses += 1
+            return None
+        entries.move_to_end(key)
+        self.hits += 1
+        return entry
+
+    def insert(
+        self,
+        key: Hashable,
+        session: Any,
+        pdr: Any,
+        far: Any,
+        enforcer: Any = None,
+        counter: Any = None,
+    ) -> FlowCacheEntry:
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_write(
+                self, "entries", value=len(self) + 1,
+                detail=f"insert(seid={getattr(session, 'seid', None)})",
+            )
+        entries = self._set_for(key)
+        if key in entries:
+            del entries[key]
+        elif len(entries) >= self.ways:
+            # Conflict eviction: the set is full even though the cache
+            # as a whole may not be.
+            entries.popitem(last=False)
+            self.evictions += 1
+        entry = FlowCacheEntry(
+            self._epoch.value, session, pdr, far, enforcer, counter
+        )
+        entries[key] = entry
+        self.inserts += 1
+        return entry
+
+    def lookup_many(self, keys):
+        raise NotImplementedError(_PER_PACKET_ONLY)
+
+    def touch_burst(self, touch_keys, hits: int) -> None:
+        raise NotImplementedError(_PER_PACKET_ONLY)
+
+    def commit_burst(self, keys, resolved, start: int = 0) -> None:
+        raise NotImplementedError(_PER_PACKET_ONLY)
+
+    def purge_session(self, session: Any) -> int:
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_write(
+                self, "entries",
+                detail=f"purge_session(seid={getattr(session, 'seid', None)})",
+            )
+        hot = getattr(session, "hot", session)
+        purged = 0
+        for entries in self._sets:
+            dead = [
+                key
+                for key, entry in entries.items()
+                if entry.hot is hot or entry.hot is session
+            ]
+            for key in dead:
+                del entries[key]
+            purged += len(dead)
+        self.purged += purged
+        return purged
+
+    def clear(self) -> None:
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_write(self, "entries", detail="clear()")
+        for entries in self._sets:
+            entries.clear()
+
+    def __len__(self) -> int:
+        return sum(len(entries) for entries in self._sets)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._set_for(key)
+
+
 def _build_ablation_upf(
     flows: int, capacity: int, ways: int
 ) -> UPFUserPlane:
@@ -273,7 +421,7 @@ def _build_ablation_upf(
     )
     if ways:
         # Swap in the set-associative variant (UPF-U private state;
-        # the ablation drives the sequential pipeline only).
+        # the ablation drives the per-packet front half only).
         upf_u.flow_cache = SetAssociativeFlowCache(
             table.epoch, capacity=capacity, ways=ways
         )

@@ -9,13 +9,8 @@ from .flow_cache import (
 )
 from .qos import QerEnforcer, TokenBucket, UsageCounter
 from .rules import FAR, FARAction, PDR, QER, far_from_ie, pdr_from_create_ie
-from .session import (
-    SessionTable,
-    SessionTableView,
-    UPFSession,
-    packet_key,
-    packet_keys,
-)
+from .hot_store import packet_key
+from .session import SessionTable, SessionTableView, UPFSession
 from .upf_c import UPFControlPlane
 from .upf_u import ForwardingStats, UPFUserPlane
 
@@ -26,7 +21,6 @@ __all__ = [
     "FlowCacheEntry",
     "RuleEpoch",
     "packet_key",
-    "packet_keys",
     "QerEnforcer",
     "TokenBucket",
     "UsageCounter",

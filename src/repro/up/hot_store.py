@@ -28,6 +28,10 @@ lays out its tables:
   rendering of the paper-style array-of-64B-records layout the
   :class:`~repro.core.costs.CostModel` cache-hierarchy term prices.
 
+The module also holds :func:`packet_key`, the one classification-key
+builder: the hot record's PDR match keys with it, and so do the UPF-U
+front halves and the flow cache.
+
 Ownership is unchanged: the UPF-C role is the only writer of slab
 membership (via ``SessionTable.add/remove``); the UPF-U resolves
 against it read-only on the data path.
@@ -38,22 +42,75 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
+from ..net.packet import Direction
+from ..pfcp import ies as pfcp_ies
 
-__all__ = ["HotSessionRecord", "HotSessionStore"]
+__all__ = ["HotSessionRecord", "HotSessionStore", "packet_key"]
 
 #: Slab slot of a record not (currently) adopted by any store.
 UNSLABBED = -1
 
+_UPLINK = Direction.UPLINK
+_ACCESS = pfcp_ies.ACCESS
+_CORE = pfcp_ies.CORE
 
-def _packet_key(packet):
-    """Late-bound :func:`repro.up.session.packet_key` (session imports
-    this module, so the direct import would be circular).  The first
-    call rebinds the module global to the real function — later calls
-    pay a plain function call, nothing else."""
-    from .session import packet_key
 
-    globals()["_packet_key"] = packet_key
-    return packet_key(packet)
+def packet_key(packet):
+    """The packet's exact 20-field classification key.
+
+    Field order mirrors ``repro.classifier.rule.PDI_FIELDS``.  Plain
+    data packets carry no meta fields, so every meta-derived element
+    takes its default and the ten dict probes are skipped.
+    """
+    flow = packet.flow
+    tos = packet.tos
+    meta = packet.meta
+    if not meta:
+        return (
+            flow.src_ip,
+            flow.dst_ip,
+            flow.src_port,
+            flow.dst_port,
+            flow.protocol,
+            tos,
+            packet.teid or 0,
+            packet.qfi or 0,
+            0,
+            0,
+            0,
+            0,
+            _ACCESS if packet.direction is _UPLINK else _CORE,
+            0,
+            0,
+            tos >> 2,
+            0,
+            0,
+            0,
+            0,
+        )
+    get = meta.get
+    return (
+        flow.src_ip,
+        flow.dst_ip,
+        flow.src_port,
+        flow.dst_port,
+        flow.protocol,
+        tos,
+        packet.teid or 0,
+        packet.qfi or 0,
+        get("app_id", 0),
+        get("spi", 0),
+        get("flow_label", 0),
+        get("sdf_filter_id", 0),
+        _ACCESS if packet.direction is _UPLINK else _CORE,
+        get("pdu_type", 0),
+        get("network_instance", 0),
+        tos >> 2,
+        get("session_id", 0),
+        get("slice_id", 0),
+        get("urr_id", 0),
+        get("outer_header", 0),
+    )
 
 
 class HotSessionRecord:
@@ -113,7 +170,7 @@ class HotSessionRecord:
         if detector is not None:
             detector.on_read(self.cold, "pdrs")
         if key is None:
-            key = _packet_key(packet)
+            key = packet_key(packet)
         rule = self.classifier.lookup(key)
         if rule is None:
             return None

@@ -117,6 +117,33 @@ class TestSessionEstablishment:
         assert len(set(ips)) == 2
 
 
+class TestDeregistration:
+    def test_reregistered_supi_resolves_its_new_session(self):
+        """Deregistration releases the SM context, so a SUPI that
+        registers again resolves its new session, and churn leaves no
+        context behind."""
+        env, core, runner, ue = build()
+        for _ in range(2):
+            run_procedures(env, runner.register_ue(ue))
+            (established,) = run_procedures(env, runner.establish_session(ue))
+            sm = core.smf.context_for(ue.supi, 1)
+            assert sm.seid == established.detail["seid"]
+            run_procedures(env, runner.deregister_ue(ue))
+            assert core.smf.sm_contexts == {}
+        with pytest.raises(KeyError):
+            core.smf.context_for(ue.supi, 1)
+
+    def test_restore_rebuilds_the_session_index(self):
+        env, core, runner, ue = build()
+        run_procedures(env, runner.register_ue(ue), runner.establish_session(ue))
+        snapshot = core.smf.snapshot()
+        seid = core.smf.context_for(ue.supi, 1).seid
+        core.smf.restore(snapshot)
+        restored = core.smf.context_for(ue.supi, 1)
+        assert restored.seid == seid
+        assert restored is core.smf.sm_contexts[seid]
+
+
 class TestIdleAndPaging:
     def _idle_ue(self, config=None):
         env, core, runner, ue = build(config)

@@ -11,10 +11,13 @@ down each burst-specific mechanism (bulk probe, grouped resolution,
 LRU replay, run-splitting on a mid-burst epoch bump) individually.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.analysis import races
 from repro.classifier import LinearClassifier, PartitionSortClassifier
 from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
@@ -29,8 +32,8 @@ from repro.up import (
     SessionTable,
     UPFUserPlane,
     packet_key,
-    packet_keys,
 )
+from repro.up.upf_u import MIN_PLANNED_BURST
 
 from .test_up_flow_cache import dl_packet, make_session, ul_packet
 
@@ -69,28 +72,24 @@ def assert_equivalent(seq, bur, check_counters=True):
 
 
 # ----------------------------------------------------------------------
-# packet_keys (vectorized key build)
+# packet_key (the one key builder)
 # ----------------------------------------------------------------------
 class TestPacketKeys:
-    def test_matches_packet_key_per_packet(self):
-        packets = [ul_packet(1), dl_packet(2), ul_packet(3, src_port=9)]
-        assert packet_keys(packets) == [packet_key(p) for p in packets]
-
-    def test_teidless_uplink_yields_none(self):
-        packet = ul_packet(1)
-        packet.teid = None
-        assert packet_keys([packet]) == [None]
-
     def test_meta_fields_included(self):
         packet = dl_packet(1)
         packet.meta["app_id"] = 5
-        [key] = packet_keys([packet])
-        assert key == packet_key(packet)
-        plain = dl_packet(1)
-        assert key != packet_key(plain)
+        assert packet_key(packet) != packet_key(dl_packet(1))
 
-    def test_empty(self):
-        assert packet_keys([]) == []
+    def test_default_meta_keys_like_empty_meta(self):
+        """The empty-meta shortcut and the full build agree."""
+        for make in (ul_packet, dl_packet):
+            spelled = make(1)
+            spelled.meta.update(
+                app_id=0, spi=0, flow_label=0, sdf_filter_id=0,
+                pdu_type=0, network_instance=0, session_id=0, slice_id=0,
+                urr_id=0, outer_header=0,
+            )
+            assert packet_key(spelled) == packet_key(make(1))
 
 
 # ----------------------------------------------------------------------
@@ -447,16 +446,98 @@ def _replay(ops, burst_limits, flow_cache):
             assert getattr(sc, name) == getattr(bc, name), name
 
 
+#: Burst lengths spanning both front halves (per packet below
+#: MIN_PLANNED_BURST, planned at and above it).
+_burst_limits = st.lists(
+    st.integers(1, 2 * MIN_PLANNED_BURST), max_size=30
+)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_burst_ops, st.lists(st.integers(1, 9), max_size=30))
+@given(_burst_ops, _burst_limits)
 def test_burst_equals_sequential(ops, burst_limits):
     _replay(ops, burst_limits, flow_cache=True)
 
 
 @settings(max_examples=30, deadline=None)
-@given(_burst_ops, st.lists(st.integers(1, 9), max_size=30))
+@given(_burst_ops, _burst_limits)
 def test_burst_equals_sequential_cache_off(ops, burst_limits):
     _replay(ops, burst_limits, flow_cache=False)
+
+
+#: Packet-heavy scripts: runs of consecutive packets long enough to
+#: reach the planned front half, with rule mutations between runs.
+_long_run_ops = st.lists(
+    st.one_of(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("ul", "dl")),
+                st.sampled_from(SEIDS),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=2 * MIN_PLANNED_BURST,
+        ),
+        st.tuples(
+            st.sampled_from(("add", "del", "buffer-far", "forward-far",
+                             "drop-pdr", "flush")),
+            st.sampled_from(SEIDS),
+            st.just(0),
+        ).map(lambda op: [op]),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda segments: [op for segment in segments for op in segment])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_long_run_ops, _burst_limits, st.booleans())
+def test_burst_equals_sequential_long_runs(ops, burst_limits, flow_cache):
+    _replay(ops, burst_limits, flow_cache=flow_cache)
+
+
+# ----------------------------------------------------------------------
+# Tracing observes the same pipeline
+# ----------------------------------------------------------------------
+class TestTracedBurst:
+    def test_traced_burst_equals_untraced(self):
+        """An active tracer changes nothing but the spans: same
+        outcomes, stats and flow-cache contents, one span per call."""
+        plain, traced = build_pair(qer=True, urr=True, seids=(1, 2))
+        sizes = (1, 3, MIN_PLANNED_BURST, 2 * MIN_PLANNED_BURST + 1)
+
+        def bursts():
+            for size in sizes:
+                yield [
+                    (ul_packet if i % 3 else dl_packet)(1 + i % 2,
+                                                        80 + i % 5)
+                    for i in range(size)
+                ]
+
+        plain_out = [plain[1].process_burst(burst) for burst in bursts()]
+        with obs.tracing(traced[1].env) as tracer:
+            traced_out = [
+                traced[1].process_burst(burst) for burst in bursts()
+            ]
+        assert traced_out == plain_out
+        assert_equivalent(plain, traced)
+        spans = [s for s in tracer.spans if s.name == "upf-u.pipeline"]
+        assert len(spans) == len(sizes)
+        for span, size, outcomes in zip(spans, sizes, plain_out):
+            assert span.attrs["packets"] == size
+            assert span.attrs["outcomes"] == Counter(outcomes)
+        assert sum(s.attrs["cache_hits"] for s in spans) == (
+            traced[1].flow_cache.hits
+        )
+
+    def test_traced_process_emits_one_span(self):
+        (_, upf), _ = build_pair()
+        with obs.tracing(upf.env) as tracer:
+            assert upf.process(ul_packet(1)) == "forwarded-ul"
+        [span] = tracer.spans
+        assert span.name == "upf-u.pipeline"
+        assert span.attrs["packets"] == 1
+        assert span.attrs["outcomes"] == {"forwarded-ul": 1}
 
 
 # ----------------------------------------------------------------------

@@ -455,9 +455,12 @@ class TestEpochWiring:
         assert table.epoch.value > before
 
     def test_packet_key_matches_session_key(self):
+        """The session's own classification keys with packet_key."""
         packet = ul_packet(3)
         session = make_session(3, LinearClassifier)
-        assert packet_key(packet) == session._packet_key(packet)
+        pdr = session.match_pdr(packet)
+        assert pdr is not None
+        assert session.match_pdr(packet, key=packet_key(packet)) is pdr
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import races
 from repro.classifier import LinearClassifier, PartitionSortClassifier
+from repro.net import Direction
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 from repro.up import (
@@ -236,7 +237,10 @@ class ColdPathUPF(UPFUserPlane):
     an observable difference downstream."""
 
     def _lookup_hot(self, packet):
-        session = self._lookup_session(packet)
+        if packet.direction is Direction.UPLINK:
+            session = self.sessions.by_teid(packet.teid)
+        else:
+            session = self.sessions.by_ue_ip(packet.flow.dst_ip)
         if session is None:
             return None
         return session.hot
