@@ -1,12 +1,28 @@
 """Static and dynamic correctness analysis for the reproduction.
 
-Two coordinated halves guard the shared-memory core:
+``python -m repro.analysis`` (:mod:`repro.analysis.__main__`) is the
+one static-analysis command: it parses ``src`` and ``tests`` once, runs
+every check below against the committed ``analysis-baseline.json`` and
+``analysis-budget.json``, and exits 0 when clean, 1 on findings, and 2
+on a stale baseline or budget entry.
 
-* :mod:`repro.analysis.lint` — a project-specific AST lint pass
-  (``python -m repro.analysis.lint src tests``) enforcing determinism
+* :mod:`repro.analysis.rules` — file-local AST rules R001–R009 (run by
+  :mod:`repro.analysis.lint` on every file) enforcing determinism
   invariants: no wall-clock time or unseeded randomness in simulation
   code, no blocking sleeps, frozen message dataclasses, no float
-  equality against ``env.now``, no mutable default arguments.
+  equality against ``env.now``, no mutable default arguments, and the
+  single-writer ownership of UPF rule state (R008/R009).
+* :mod:`repro.analysis.program` — whole-program checks W001–W004 over
+  one symbol table and call graph of the non-test files: hot-path
+  allocation budget, interprocedural epoch bumps, yields in atomic
+  sections, layering.
+* :mod:`repro.analysis.dataflow` — a worklist-based typestate engine
+  over the same symbol table that statically verifies the descriptor,
+  session, and resource lifecycles the sanitizer checks at run time:
+  mutate-after-send / double-enqueue on every path (W005),
+  session/rule lifecycle ordering and dangling FAR references (W006),
+  resources leaked on raising paths (W007), and dead configuration
+  nothing observes (W008).
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime descriptor
   sanitizer wired into :class:`~repro.core.transport.MessageBus` and
   :class:`~repro.core.rings.Ring` that stamps each descriptor with an
@@ -19,24 +35,15 @@ Two coordinated halves guard the shared-memory core:
   cache, smart buffers, replica checkpoints) declare an owner role
   and every access is checked for cross-role same-instant conflicts,
   non-owner writes, and rule mutations missing a ``RuleEpoch.bump()``.
-  Its static half lives in :mod:`repro.analysis.rules` as R008/R009.
-* :mod:`repro.analysis.dataflow` — a worklist-based typestate engine
-  (``python -m repro.analysis.dataflow src/repro``) that statically
-  verifies the descriptor, session, and resource lifecycles the
-  sanitizer checks at run time: mutate-after-send / double-enqueue on
-  every path (W005), session/rule lifecycle ordering and dangling FAR
-  references (W006), resources leaked on raising paths (W007), and
-  dead configuration nothing observes (W008).  The state names and
-  violation kinds it cites come from :mod:`repro.analysis.lifecycle`,
-  shared verbatim with the sanitizer.
 
-``python -m repro.analysis all`` runs lint + program + dataflow in one
-command against the committed baselines.  Every analyzer CLI exits 0
-when clean, 1 on findings, and 2 on a stale baseline or budget.
+The state names, violation kinds and shared-state attribute names all
+of them cite come from :mod:`repro.analysis.lifecycle`.  Runtime
+modules import only the sanitizer and the race detector; this package
+never imports that command or the static checks.
 
-Every perf or scale PR is expected to keep all three static gates
-clean against the committed baselines and the tier-1 suite green under
-both ``pytest --sanitize`` and ``pytest --race``.
+Every perf or scale change is expected to keep ``python -m repro.analysis`` clean against
+the committed baseline and the tier-1 suite green under both
+``pytest --sanitize`` and ``pytest --race``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ __all__ = [
     "dataflow",
     "lifecycle",
     "lint",
+    "program",
     "races",
     "report",
     "rules",

@@ -12,8 +12,8 @@ W007      exception-safety — resources leaked on raising paths
 W008      dead config — flags and metrics nothing observes
 ========  =========================================================
 
-Run as ``python -m repro.analysis.dataflow src/repro``; see
-:mod:`.cli` for exit codes and baseline handling.  Never import this
+Run through the analysis command, ``python -m repro.analysis``, which
+shares one symbol table with the whole-program checks.  Never import this
 package (or anything under ``repro.analysis``) from runtime modules —
 the analyzers observe the data plane, they must not load with it.
 """

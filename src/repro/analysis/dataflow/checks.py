@@ -46,6 +46,7 @@ from ..lifecycle import (
     LEAK_ON_RAISE,
     MAY_FAIL_TRANSITIONS,
     MUTATE_AFTER_SEND,
+    MUTATING_METHODS,
     REMOVE_BEFORE_ESTABLISH,
     SEND_METHODS,
     SESSION_CLASS_SUFFIX,
@@ -56,12 +57,12 @@ from ..lifecycle import (
 )
 from ..program.cfg import CFG, CFGNode, CallSite, build_cfg
 from ..program.checks import ProgramFinding, _apply_noqa, _stop_modules
-from ..rules import _MUTATING_METHODS
 from ..program.symbols import (
     FunctionInfo,
     SymbolTable,
     build_symbol_table,
 )
+from ..rules import SourceFile, as_contexts
 from .engine import (
     Analysis,
     FunctionEffects,
@@ -71,12 +72,21 @@ from .engine import (
 )
 
 __all__ = [
+    "CHECKS",
     "CHECK_CODES",
     "DataflowReport",
     "analyze_dataflow",
 ]
 
-CHECK_CODES = ("W005", "W006", "W007", "W008")
+#: Check code -> one-line title (``python -m repro.analysis --list-rules``).
+CHECKS = {
+    "W005": "descriptor typestate",
+    "W006": "session/rule lifecycle",
+    "W007": "resource leak on raise",
+    "W008": "dead config",
+}
+
+CHECK_CODES = tuple(CHECKS)
 
 
 @dataclass
@@ -87,20 +97,18 @@ class DataflowReport:
     findings: List[ProgramFinding]
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "stats": dict(self.stats),
-        }
-
 
 def analyze_dataflow(
-    files: Sequence[Tuple[str, str]],
+    files: Sequence[SourceFile],
     checks: Optional[Sequence[str]] = None,
+    table: Optional[SymbolTable] = None,
 ) -> DataflowReport:
-    """Run the typestate checks over (path, source) pairs."""
+    """Run the typestate checks over (path, source) pairs or parsed
+    contexts; ``table``, when given, is their prebuilt symbol table."""
     wanted = set(checks if checks is not None else CHECK_CODES)
-    table = build_symbol_table(files)
+    contexts = as_contexts(files)
+    if table is None:
+        table = build_symbol_table(contexts)
     effects = compute_effects(
         table,
         send_methods=tuple(SEND_METHODS),
@@ -123,7 +131,7 @@ def analyze_dataflow(
             findings.extend(_check_w007(table, func, cfg, effects))
     if "W008" in wanted:
         findings.extend(_check_w008(table, stops))
-    findings = _apply_noqa(files, findings)
+    findings = _apply_noqa(contexts, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
     return DataflowReport(
         table=table,
@@ -281,7 +289,7 @@ def _check_w005(
             recv_base = _base_var(call.receiver)
             if (
                 recv_base in sent
-                and call.name in _MUTATING_METHODS
+                and call.name in MUTATING_METHODS
                 and call.receiver != recv_base
             ):
                 _, step = sent[recv_base]

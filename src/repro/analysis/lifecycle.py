@@ -35,11 +35,19 @@ Protocols
   release, by an ownership transfer (return/escape), or by a
   re-install (:data:`SESSION_INSTALL_TRANSFER`).  A raising edge on
   which the release is not post-dominant leaks the resource.
+
+**Shared rule state** (single-writer, §3.2): the attribute names in
+:data:`SHARED_ATTRS` are written only by the ``up`` package, and a
+mutation of a :data:`RULE_ATTRS` container must be published by a
+``RuleEpoch.bump()``.  :func:`attr_mutations` is the one matcher for
+such writes, shared by the file-local rules R008/R009 and the
+interprocedural summaries behind W002.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
+import ast
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 __all__ = [
     "DESCRIPTOR_STATES",
@@ -68,6 +76,10 @@ __all__ = [
     "SESSION_CLASS_SUFFIX",
     "ACQUIRE_METHODS",
     "MAY_FAIL_TRANSITIONS",
+    "MUTATING_METHODS",
+    "RULE_ATTRS",
+    "SHARED_ATTRS",
+    "attr_mutations",
 ]
 
 # -- state machines ----------------------------------------------------------
@@ -175,3 +187,70 @@ ACQUIRE_METHODS: Dict[str, str] = {
 #: The static checks give calls to these names a raising edge even when
 #: the receiver's type cannot be resolved.
 MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "adopt", "pin"})
+
+# -- shared rule state ---------------------------------------------------------
+
+#: Method names that mutate a dict/list container in place.
+MUTATING_METHODS: FrozenSet[str] = frozenset({
+    "pop", "popitem", "clear", "update", "setdefault",
+    "append", "extend", "insert", "remove",
+})
+
+#: Rule containers whose mutation must be published with an epoch bump.
+RULE_ATTRS: FrozenSet[str] = frozenset({
+    "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
+})
+
+#: Shared structures owned by the ``up`` package (registered with the
+#: race detector): the rule containers plus the session-table indexes
+#: and the hot-store slab internals, whose membership writes stay
+#: UPF-C-only.
+SHARED_ATTRS: FrozenSet[str] = RULE_ATTRS | frozenset({
+    "report_pending", "_by_seid",
+    "_teid_index", "_ue_ip_index", "_slab", "_free",
+})
+
+
+def attr_mutations(
+    tree: ast.AST, attrs: FrozenSet[str]
+) -> Iterator[Tuple[ast.AST, str, Optional[str]]]:
+    """Yield ``(node, attr, receiver)`` for each in-place mutation of an
+    attribute named in ``attrs`` anywhere under ``tree``.
+
+    Covers rebinding (``x.attr = v``, ``x.attr += v``), item writes
+    (``x.attr[k] = v``, ``del x.attr[k]``, ``x.attr[k] += v``) and
+    mutating method calls (``x.attr.pop(k)``...).  ``receiver`` is the
+    base name the attribute hangs off (``"session"`` for
+    ``session.pdrs``), or None for computed receivers.
+    """
+
+    def hit(target: ast.AST) -> Optional[ast.Attribute]:
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr in attrs:
+            return target
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = [t for t in node.targets if isinstance(t, ast.Subscript)]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATING_METHODS
+            and isinstance(node.func.value, ast.Attribute)
+        ):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            attr = hit(target)
+            if attr is not None:
+                receiver = attr.value
+                yield node, attr.attr, (
+                    receiver.id if isinstance(receiver, ast.Name) else None
+                )

@@ -1,88 +1,40 @@
-"""Project lint runner: ``python -m repro.analysis.lint src tests``.
+"""File-local rule runner: R001–R009 over one parsed file.
 
-Walks the given files/directories, parses every ``*.py`` file once, and
-runs each registered :class:`~repro.analysis.rules.Rule` over it.
-Findings print as ``file:line:col: CODE [severity] message`` (or JSON
-with ``--json``); the process exits non-zero when any unsuppressed
-finding remains, which is what CI gates on.
-
-Options
--------
-``--json``
-    Emit findings as a JSON array (machine-readable mode).
-``--select R001,R004``
-    Run only the listed rule codes.
-``--ignore R006``
-    Skip the listed rule codes.
-``--list-rules``
-    Print the rule catalog and exit.
-``--baseline analysis-baseline.json``
-    Suppress findings recorded in a committed baseline file; only *new*
-    findings fail the run.  Lets a new rule land with known debt while
-    still gating every fresh violation.
-``--write-baseline analysis-baseline.json``
-    Record the current findings as the baseline and exit 0.
-
-Exit codes are the uniform :mod:`repro.analysis.report` semantics —
-0 clean, 1 findings, 2 stale baseline entry / unreadable input.
-Baseline entries are keyed ``(path, code, message)`` with an occurrence
-count, **not** line numbers, so unrelated edits that shift lines do not
-invalidate the baseline; adding a second instance of a baselined
-violation in the same file still fails, and a baseline entry whose
-violation no longer exists fails the run with exit 2 until the
-baseline is regenerated.
+The analysis command (``python -m repro.analysis``) parses every file
+once with :func:`parse_file` and hands the same
+:class:`~repro.analysis.rules.FileContext` to :func:`check_file` and to
+the whole-program symbol table.  :func:`lint_file` and
+:func:`lint_paths` are the library entry points for linting a snippet
+or a tree without the command.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-# Baseline/emission machinery lives in the shared report module; the
-# historical names are re-exported here because tests and downstream
-# tooling import them from the lint CLI.
-from .report import (
-    EXIT_STALE,
-    BaselineKey,  # noqa: F401  (re-export)
-    apply_baseline,
-    emit_findings,
-    github_annotation,
-    iter_python_files,
-    load_baseline,
-    report_stale_entries,
-    resolve_exit,
-    stale_baseline_entries,
-    write_baseline,
-)
+from .report import iter_python_files
 from .rules import FileContext, Finding, Rule, all_rules
 
 __all__ = [
-    "iter_python_files",
+    "parse_file",
+    "check_file",
     "lint_file",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
-    "github_annotation",
-    "main",
 ]
 
 
-def lint_file(
-    path: str,
-    rules: Optional[Sequence[Rule]] = None,
-    source: Optional[str] = None,
-) -> List[Finding]:
-    """Run the rule set over one file; returns unsuppressed findings."""
+def parse_file(
+    path: str, source: Optional[str] = None
+) -> Tuple[Optional[FileContext], List[Finding]]:
+    """Parse one file: ``(context, [])``, or ``(None, [R000])`` when the
+    file has a syntax error (reported as a finding, not raised)."""
     if source is None:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     try:
-        ctx = FileContext.parse(path, source)
+        return FileContext.parse(path, source), []
     except SyntaxError as exc:
-        return [
+        return None, [
             Finding(
                 path=path,
                 line=exc.lineno or 1,
@@ -92,11 +44,27 @@ def lint_file(
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    findings: List[Finding] = []
-    for rule in rules if rules is not None else all_rules():
-        for finding in rule.check(ctx):
-            if not ctx.is_suppressed(finding):
-                findings.append(finding)
+
+
+def check_file(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
+    """Run ``rules`` over one parsed file; returns unsuppressed findings."""
+    return [
+        finding
+        for rule in rules
+        for finding in rule.check(ctx)
+        if not ctx.is_suppressed(finding)
+    ]
+
+
+def lint_file(
+    path: str,
+    rules: Optional[Sequence[Rule]] = None,
+    source: Optional[str] = None,
+) -> List[Finding]:
+    """Run the rule set over one file; returns unsuppressed findings."""
+    ctx, findings = parse_file(path, source)
+    if ctx is not None:
+        findings = check_file(ctx, rules if rules is not None else all_rules())
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
@@ -109,84 +77,3 @@ def lint_paths(
     for path in iter_python_files(paths):
         findings.extend(lint_file(path, rules=rules))
     return findings
-
-
-def _select_rules(
-    select: Optional[str], ignore: Optional[str]
-) -> List[Rule]:
-    rules = all_rules()
-    if select:
-        wanted = {code.strip().upper() for code in select.split(",")}
-        unknown = wanted - {rule.code for rule in rules}
-        if unknown:
-            raise SystemExit(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        rules = [rule for rule in rules if rule.code in wanted]
-    if ignore:
-        dropped = {code.strip().upper() for code in ignore.split(",")}
-        rules = [rule for rule in rules if rule.code not in dropped]
-    return rules
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="Determinism & zero-copy lint for the L25GC reproduction.",
-    )
-    parser.add_argument("paths", nargs="*", default=["src", "tests"])
-    parser.add_argument("--json", action="store_true", dest="as_json")
-    parser.add_argument(
-        "--format", choices=("text", "github"), default="text"
-    )
-    parser.add_argument("--select", metavar="CODES")
-    parser.add_argument("--ignore", metavar="CODES")
-    parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument("--baseline", metavar="PATH")
-    parser.add_argument("--write-baseline", metavar="PATH", dest="write_to")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            doc = (type(rule).__doc__ or "").strip().split("\n")[0]
-            print(f"{rule.code}  {rule.name:<22} {doc}")
-        return 0
-
-    rules = _select_rules(args.select, args.ignore)
-    try:
-        findings = lint_paths(args.paths, rules=rules)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STALE
-
-    if args.write_to:
-        count = write_baseline(args.write_to, findings)
-        print(
-            f"wrote baseline {args.write_to}: {count} entr"
-            f"{'y' if count == 1 else 'ies'} "
-            f"({len(findings)} finding(s))"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_STALE
-        # R000 (syntax error) is always live even under --select.
-        active = {rule.code for rule in rules} | {"R000"}
-        stale = stale_baseline_entries(findings, baseline, codes=active)
-        if stale:
-            report_stale_entries(stale)
-            return EXIT_STALE
-        findings, suppressed = apply_baseline(findings, baseline)
-
-    if args.as_json:
-        print(json.dumps([f.to_dict() for f in findings], indent=2))
-    else:
-        emit_findings(findings, fmt=args.format, suppressed=suppressed)
-    return resolve_exit(findings)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

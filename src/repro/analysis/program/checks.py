@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rules import FileContext, Finding
+from ..rules import FileContext, Finding, SourceFile, as_contexts
 from .callgraph import CallGraph, build_call_graph
 from .summaries import (
     FunctionSummary,
@@ -45,12 +45,21 @@ from .summaries import (
 from .symbols import SymbolTable, build_symbol_table
 
 __all__ = [
+    "CHECKS",
     "ProgramFinding",
     "Budget",
     "ProgramReport",
     "DEFAULT_PACKET_ENTRIES",
     "analyze_program",
 ]
+
+#: Check code -> one-line title (``python -m repro.analysis --list-rules``).
+CHECKS = {
+    "W001": "hot-path allocation budget",
+    "W002": "interprocedural epoch bump",
+    "W003": "yield in atomic section",
+    "W004": "layering conformance",
+}
 
 #: The UPF-U per-packet entry points (direct API + platform ring path,
 #: singleton and burst variants).
@@ -135,11 +144,23 @@ class Budget:
         return self.budgets.get(qualname, 0)
 
     def stale_entries(self, table: SymbolTable) -> List[str]:
+        """Entries naming a function the analyzed modules no longer
+        define.  An entry is judged only when one of its dotted
+        prefixes is an analyzed module, so a run over a subtree does
+        not condemn the budgets of code it never read."""
         return sorted(
             qualname
             for qualname in self.budgets
             if qualname not in table.functions
+            and _under_analyzed_module(qualname, table)
         )
+
+
+def _under_analyzed_module(qualname: str, table: SymbolTable) -> bool:
+    parts = qualname.split(".")
+    return any(
+        ".".join(parts[:n]) in table.modules for n in range(1, len(parts))
+    )
 
 
 @dataclass
@@ -154,21 +175,14 @@ class ProgramReport:
     hot_path: Dict[str, Tuple[str, ...]]
     stale_budget_entries: List[str]
 
-    def to_dict(self) -> Dict[str, object]:
+    @property
+    def stats(self) -> Dict[str, int]:
         return {
-            "findings": [f.to_dict() for f in self.findings],
-            "hot_path": {
-                qualname: list(chain)
-                for qualname, chain in sorted(self.hot_path.items())
-            },
-            "stale_budget_entries": self.stale_budget_entries,
-            "stats": {
-                "modules": len(self.table.modules),
-                "functions": len(self.table.functions),
-                "classes": len(self.table.classes),
-                "call_edges": len(self.graph.edges),
-                "unknown_edges": len(self.graph.unknown),
-            },
+            "modules": len(self.table.modules),
+            "functions": len(self.table.functions),
+            "classes": len(self.table.classes),
+            "call_edges": len(self.graph.edges),
+            "unknown_edges": len(self.graph.unknown),
         }
 
 
@@ -186,12 +200,18 @@ def _stop_modules(table: SymbolTable) -> List[str]:
 
 
 def analyze_program(
-    files: Sequence[Tuple[str, str]],
+    files: Sequence[SourceFile],
     budget: Optional[Budget] = None,
     entry_points: Optional[Sequence[str]] = None,
+    table: Optional[SymbolTable] = None,
 ) -> ProgramReport:
-    """Run the engine and all four checks over ``(path, source)`` pairs."""
-    table = build_symbol_table(files)
+    """Run the engine and all four checks over ``(path, source)`` pairs
+    or parsed contexts.  ``table``, when given, must be the symbol
+    table of exactly these files; the analysis command shares one between this
+    and the typestate checks."""
+    contexts = as_contexts(files)
+    if table is None:
+        table = build_symbol_table(contexts)
     graph = build_call_graph(table)
     summaries = summarize(table)
     budget = budget or Budget()
@@ -211,7 +231,7 @@ def analyze_program(
     findings.extend(_check_w003(table, graph, stop))
     findings.extend(_check_w004(table))
 
-    findings = _apply_noqa(files, findings)
+    findings = _apply_noqa(contexts, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return ProgramReport(
         table=table,
@@ -224,16 +244,14 @@ def analyze_program(
 
 
 def _apply_noqa(
-    files: Sequence[Tuple[str, str]], findings: List[ProgramFinding]
+    contexts: Sequence[FileContext], findings: List[ProgramFinding]
 ) -> List[ProgramFinding]:
-    contexts: Dict[str, FileContext] = {}
-    for path, source in files:
-        contexts[path] = FileContext.parse(path, source)
+    by_path = {ctx.path: ctx for ctx in contexts}
     return [
         finding
         for finding in findings
-        if finding.path not in contexts
-        or not contexts[finding.path].is_suppressed(finding)
+        if finding.path not in by_path
+        or not by_path[finding.path].is_suppressed(finding)
     ]
 
 

@@ -27,7 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..rules import _MUTATING_METHODS
+from ..lifecycle import RULE_ATTRS, SHARED_ATTRS, attr_mutations
 from .callgraph import CallGraph
 from .symbols import FunctionInfo, SymbolTable, _dotted_name
 
@@ -39,22 +39,6 @@ __all__ = [
     "EpochFlow",
     "analyze_epoch_flow",
 ]
-
-#: Rule containers whose mutation must be published with an epoch bump
-#: (same set as the file-local R009 rule).
-RULE_ATTRS = frozenset({
-    "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
-})
-
-#: Shared structures tracked for read/write summaries (superset used by
-#: the R008 ownership rule).
-SHARED_ATTRS = RULE_ATTRS | frozenset({
-    "report_pending", "_by_seid",
-    # Hot-store slab internals (replaced the dual _by_teid/_by_ue_ip
-    # object dicts): same single-writer discipline, UPF-C membership
-    # writes only.
-    "_teid_index", "_ue_ip_index", "_slab", "_free",
-})
 
 
 @dataclass(frozen=True)
@@ -185,44 +169,6 @@ def _collect_allocations(
     return sites
 
 
-def _attr_mutations_in(
-    node: ast.AST, attrs: FrozenSet[str]
-) -> List[Tuple[int, str]]:
-    """(lineno, attr) for in-place mutations of named attributes inside
-    one statement (mirrors the file-local rule machinery)."""
-    found: List[Tuple[int, str]] = []
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Assign, ast.AugAssign)):
-            targets = (
-                child.targets
-                if isinstance(child, ast.Assign)
-                else [child.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Attribute) and target.attr in attrs:
-                    found.append((child.lineno, target.attr))
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    found.append((child.lineno, target.value.attr))
-        elif isinstance(child, ast.Delete):
-            for target in child.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    found.append((child.lineno, target.value.attr))
-        elif isinstance(child, ast.Call):
-            callee = child.func
-            if (
-                isinstance(callee, ast.Attribute)
-                and callee.attr in _MUTATING_METHODS
-                and isinstance(callee.value, ast.Attribute)
-                and callee.value.attr in attrs
-            ):
-                found.append((child.lineno, callee.value.attr))
-    return found
-
-
 def summarize(
     table: SymbolTable,
 ) -> Dict[str, FunctionSummary]:
@@ -240,11 +186,11 @@ def summarize(
                 node.ctx, ast.Load
             ) and node.attr in SHARED_ATTRS:
                 summary.shared_reads.add(node.attr)
-        for lineno, attr in _attr_mutations_in(func.node, SHARED_ATTRS):
+        for node, attr, _ in attr_mutations(func.node, SHARED_ATTRS):
             summary.shared_writes.add(attr)
             if attr in RULE_ATTRS:
                 summary.rule_mutations.append(
-                    MutationSite(qualname, attr, lineno)
+                    MutationSite(qualname, attr, node.lineno)
                 )
         summaries[qualname] = summary
     return summaries
@@ -437,9 +383,9 @@ class _EpochWalker:
                 # Reported here; do not double-report at the caller.
                 pending = []
         if not exempt:
-            for lineno, attr in _attr_mutations_in(node, RULE_ATTRS):
+            for child, attr, _ in attr_mutations(node, RULE_ATTRS):
                 pending.append(
-                    (MutationSite(self.func.qualname, attr, lineno), ())
+                    (MutationSite(self.func.qualname, attr, child.lineno), ())
                 )
         return _PathState(pending=tuple(pending), bumped=bumped)
 

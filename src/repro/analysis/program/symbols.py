@@ -19,6 +19,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..rules import SourceFile, as_contexts
+
 __all__ = [
     "FunctionInfo",
     "ClassInfo",
@@ -289,10 +291,10 @@ def _absolute_import(
     return ".".join(base) if base else None
 
 
-def build_symbol_table(
-    files: Sequence[Tuple[str, str]]
-) -> SymbolTable:
-    """Build the table from ``(path, source)`` pairs.
+def build_symbol_table(files: Sequence[SourceFile]) -> SymbolTable:
+    """Build the table from ``(path, source)`` pairs or parsed
+    :class:`~repro.analysis.rules.FileContext` objects (whose trees are
+    reused as-is).
 
     Resolution runs in passes: collect definitions, then import
     bindings, then class bases/subclasses, then annotations and
@@ -302,11 +304,12 @@ def build_symbol_table(
     parsed: List[Tuple[ModuleInfo, ast.Module]] = []
 
     # Pass 1 — modules, classes, functions.
-    for path, source in files:
-        name = module_name_for(path)
-        tree = ast.parse(source, filename=path)
-        info = ModuleInfo(name=name, path=path, tree=tree)
-        table.modules[name] = info
+    for ctx in as_contexts(files):
+        tree = ctx.tree
+        info = ModuleInfo(
+            name=module_name_for(ctx.path), path=ctx.path, tree=tree
+        )
+        table.modules[info.name] = info
         parsed.append((info, tree))
         _collect_definitions(table, info, tree)
 

@@ -1,21 +1,16 @@
-"""Shared finding emission, baselines, and exit-code semantics.
+"""Finding emission, the baseline file, and exit-code semantics of
+the analysis command (``python -m repro.analysis``).
 
-Every analysis CLI in :mod:`repro.analysis` — the file-local lint
-(``repro.analysis.lint``), the whole-program checks
-(``repro.analysis.program``), the typestate dataflow engine
-(``repro.analysis.dataflow``), and the ``python -m repro.analysis all``
-umbrella — renders findings and decides its exit status through this
-module, so CI can treat them interchangeably.
-
-Exit codes (uniform across all CLIs)
-------------------------------------
+Exit codes
+----------
 ======  ====================================================================
 0       Clean: no unsuppressed findings.
 1       Findings: at least one unsuppressed finding was reported.
-2       Stale configuration: a committed baseline entry counts more
+2       Bad configuration: a committed baseline entry counts more
         occurrences than the tree actually has (debt was paid off but
         the baseline was not regenerated), a budget entry names a
-        function that no longer exists, or an input path is missing.
+        function that no longer exists, an input path or config file
+        is missing, or ``--select``/``--ignore`` names an unknown code.
 ======  ====================================================================
 
 Baseline entries are keyed ``(path, code, message)`` with an occurrence
@@ -33,8 +28,8 @@ import json
 import os
 import sys
 from typing import (
+    Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -51,6 +46,7 @@ __all__ = [
     "EXIT_STALE",
     "BaselineKey",
     "iter_python_files",
+    "baseline_scope",
     "load_baseline",
     "write_baseline",
     "apply_baseline",
@@ -69,12 +65,15 @@ EXIT_FINDINGS = 1
 EXIT_STALE = 2
 
 
-def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: List[str] = []
-    for path in paths:
+def iter_python_files(paths: Sequence[str]) -> List[str]:
+    """Expand files/directories into ``.py`` files, each path
+    normalised (``./src/x.py`` is ``src/x.py``) and listed once even
+    when the arguments overlap; directories are walked in sorted
+    order."""
+    out: Dict[str, None] = {}
+    for path in map(os.path.normpath, paths):
         if os.path.isfile(path):
-            out.append(path)
+            out[path] = None
         elif os.path.isdir(path):
             for root, dirs, files in os.walk(path):
                 dirs[:] = sorted(
@@ -83,10 +82,10 @@ def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
                 )
                 for name in sorted(files):
                     if name.endswith(".py"):
-                        out.append(os.path.join(root, name))
+                        out[os.path.normpath(os.path.join(root, name))] = None
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
-    return out
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +100,66 @@ def _baseline_key(finding: Finding) -> BaselineKey:
     return (finding.path.replace("\\", "/"), finding.code, finding.message)
 
 
-def write_baseline(path: str, findings: Sequence[Finding]) -> int:
-    """Serialize the findings as a baseline file; returns entry count."""
+#: Which baseline keys a run can judge (see :func:`baseline_scope`).
+Scope = Callable[[BaselineKey], bool]
+
+
+def baseline_scope(codes: Set[str], paths: Sequence[str]) -> Scope:
+    """Keys a run can judge: a code it ran, on a file under one of the
+    paths it analyzed.  Entries outside the scope are neither stale nor
+    rewritten, so ``--select`` or a subtree run leaves them alone."""
+    roots = [os.path.normpath(p).replace("\\", "/") for p in paths]
+
+    def covers(key: BaselineKey) -> bool:
+        path, code, _ = key
+        return code in codes and any(
+            root == "." or path == root or path.startswith(root + "/")
+            for root in roots
+        )
+
+    return covers
+
+
+def _read_entries(path: str) -> Dict[BaselineKey, Dict[str, object]]:
+    """Baseline entries by key, duplicate keys merged (counts summed)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    entries: Dict[BaselineKey, Dict[str, object]] = {}
+    for raw in data.get("entries", []):
+        key = (raw["path"], raw["code"], raw["message"])
+        entry = entries.setdefault(key, {**raw, "count": 0})
+        entry["count"] = int(entry["count"]) + int(raw.get("count", 1))
+    return entries
+
+
+def write_baseline(
+    path: str, findings: Sequence[Finding], keep: Optional[Scope] = None
+) -> int:
+    """Record the findings as the baseline at ``path``; returns the
+    entry count.
+
+    An existing file's entries for which ``keep(key)`` is true are
+    carried over as they are (a ``--select`` run keeps the debt of the
+    codes it did not run), and every surviving key keeps its reviewed
+    ``reason``.
+    """
+    previous = _read_entries(path) if os.path.exists(path) else {}
     counts: Dict[BaselineKey, int] = collections.Counter(
         _baseline_key(f) for f in findings
     )
-    entries = [
-        {"path": p, "code": c, "message": m, "count": n}
-        for (p, c, m), n in sorted(counts.items())
-    ]
+    if keep is not None:
+        for key, entry in previous.items():
+            if keep(key):
+                counts[key] = int(entry["count"])
+    entries = []
+    for (p, c, m), n in sorted(counts.items()):
+        entry: Dict[str, object] = {
+            "path": p, "code": c, "message": m, "count": n,
+        }
+        reason = previous.get((p, c, m), {}).get("reason")
+        if reason:
+            entry["reason"] = reason
+        entries.append(entry)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"version": 1, "entries": entries}, handle, indent=2)
         handle.write("\n")
@@ -117,13 +167,10 @@ def write_baseline(path: str, findings: Sequence[Finding]) -> int:
 
 
 def load_baseline(path: str) -> Dict[BaselineKey, int]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    counts: Dict[BaselineKey, int] = collections.Counter()
-    for entry in data.get("entries", []):
-        key = (entry["path"], entry["code"], entry["message"])
-        counts[key] += int(entry.get("count", 1))
-    return counts
+    return {
+        key: int(entry["count"])
+        for key, entry in _read_entries(path).items()
+    }
 
 
 def apply_baseline(
@@ -150,7 +197,7 @@ def apply_baseline(
 def stale_baseline_entries(
     findings: Sequence[Finding],
     baseline: Dict[BaselineKey, int],
-    codes: Optional[Set[str]] = None,
+    scope: Optional[Scope] = None,
 ) -> List[Tuple[BaselineKey, int, int]]:
     """Baseline entries counting more debt than the tree still has.
 
@@ -158,19 +205,19 @@ def stale_baseline_entries(
     ``count`` exceeds the number of matching findings in this run.  A
     stale entry means a violation was fixed without regenerating the
     baseline — left alone it would silently absorb the *next*
-    regression, so it fails the run (exit 2), mirroring the stale
-    budget-entry rule of ``repro.analysis.program``.
+    regression, so it fails the run (exit 2), like a stale budget
+    entry.
 
-    ``codes`` restricts the check to entries whose code was actually
-    run (``--select``/``--ignore`` must not make unrelated entries look
-    stale).
+    ``scope`` restricts the check to entries the run could have
+    reproduced (``--select``/``--ignore`` or a subtree run must not
+    make unrelated entries look stale).
     """
     actual: Dict[BaselineKey, int] = collections.Counter(
         _baseline_key(f) for f in findings
     )
     stale: List[Tuple[BaselineKey, int, int]] = []
     for key, expected in sorted(baseline.items()):
-        if codes is not None and key[1] not in codes:
+        if scope is not None and not scope(key):
             continue
         if actual[key] < expected:
             stale.append((key, expected, actual[key]))
@@ -212,8 +259,7 @@ def emit_findings(
     suppressed: int = 0,
     stream: Optional[TextIO] = None,
 ) -> None:
-    """Print findings in ``text`` or ``github`` format (shared by every
-    analysis CLI; JSON payloads differ per tool and stay in the CLIs)."""
+    """Print findings in ``text`` or ``github`` format."""
     stream = stream if stream is not None else sys.stdout
     if fmt == "github":
         for finding in findings:

@@ -27,7 +27,7 @@ R006      Mutable default argument (list/dict/set) in ``src/repro``.
 R007      ``print()`` in library code under ``src/repro`` — results
           belong in return values, metrics, or spans
           (:mod:`repro.obs`), not stdout.  CLI entry points
-          (``__main__.py``, the lint runner) and ``experiments/`` /
+          (``__main__.py``, the analysis command) and ``experiments/`` /
           ``benchmarks/`` harnesses are exempt.
 R008      Mutation of a shared UPF structure (PDR/FAR/QER/URR maps,
           session-table indexes, ``report_pending``) from a module
@@ -50,11 +50,15 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+
+from .lifecycle import RULE_ATTRS, SHARED_ATTRS, attr_mutations
 
 __all__ = [
     "Finding",
     "FileContext",
+    "SourceFile",
+    "as_contexts",
     "Rule",
     "RULE_REGISTRY",
     "register_rule",
@@ -135,6 +139,19 @@ class FileContext:
     def path_endswith(self, *suffixes: str) -> bool:
         norm = self.path.replace("\\", "/")
         return any(norm.endswith(suffix) for suffix in suffixes)
+
+
+#: Analyzer input: ``(path, source)`` pairs or already-parsed contexts.
+SourceFile = Union[Tuple[str, str], FileContext]
+
+
+def as_contexts(files: Sequence[SourceFile]) -> List[FileContext]:
+    """Parse ``(path, source)`` pairs; parsed contexts pass through, so
+    a caller holding contexts never parses a file twice."""
+    return [
+        f if isinstance(f, FileContext) else FileContext.parse(*f)
+        for f in files
+    ]
 
 
 RULE_REGISTRY: Dict[str, Type["Rule"]] = {}
@@ -498,12 +515,12 @@ class PrintInLibraryRule(Rule):
     name = "print-in-library"
     severity = "warning"
 
-    #: Paths allowed to print: console entry points, the lint runner,
-    #: and the race-trace replayer (their findings are their stdout
-    #: contract).
+    #: Paths allowed to print: console entry points (the analysis
+    #: command is ``analysis/__main__.py``), the lint runner, the shared
+    #: finding emitter, and the race-trace replayer (their findings are
+    #: their stdout contract).
     EXEMPT_SUFFIXES = ("__main__.py", "analysis/lint.py",
-                       "analysis/races.py", "analysis/program/cli.py",
-                       "analysis/report.py", "analysis/dataflow/cli.py")
+                       "analysis/races.py", "analysis/report.py")
     EXEMPT_DIRS = ("experiments", "benchmarks")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -526,65 +543,6 @@ class PrintInLibraryRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# Shared-state ownership helpers (R008 / R009)
-# ---------------------------------------------------------------------------
-
-#: Method names that mutate a dict/list container in place.
-_MUTATING_METHODS = frozenset({
-    "pop", "popitem", "clear", "update", "setdefault",
-    "append", "extend", "insert", "remove",
-})
-
-
-def _attr_mutations(
-    tree: ast.AST, attrs: frozenset
-) -> Iterator[Tuple[ast.AST, str, Optional[str]]]:
-    """Yield ``(node, attr, receiver)`` for each in-place mutation of an
-    attribute named in ``attrs``.
-
-    Covers rebinding (``x.attr = v``, ``x.attr += v``), item writes
-    (``x.attr[k] = v``, ``del x.attr[k]``, ``x.attr[k] += v``) and
-    mutating method calls (``x.attr.pop(k)``...).  ``receiver`` is the
-    base name the attribute hangs off (``"session"`` for
-    ``session.pdrs``), or None for computed receivers.
-    """
-
-    def receiver_name(attr_node: ast.Attribute) -> Optional[str]:
-        value = attr_node.value
-        if isinstance(value, ast.Name):
-            return value.id
-        return None
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Attribute) and target.attr in attrs:
-                    yield node, target.attr, receiver_name(target)
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    yield node, target.value.attr, receiver_name(target.value)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    yield node, target.value.attr, receiver_name(target.value)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr in attrs
-            ):
-                yield node, func.value.attr, receiver_name(func.value)
-
-
-# ---------------------------------------------------------------------------
 # R008 — non-owner mutation of shared UPF structures
 # ---------------------------------------------------------------------------
 @register_rule
@@ -598,22 +556,10 @@ class NonOwnerMutationRule(Rule):
     code = "R008"
     name = "non-owner-shared-write"
 
-    #: Attribute names registered with the race detector, owned by the
-    #: ``up`` package.
-    SHARED_ATTRS = frozenset({
-        "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
-        "report_pending", "_by_seid",
-        # Hot-store slab internals (replaced the dual _by_teid /
-        # _by_ue_ip object dicts); membership writes stay UPF-C-only.
-        "_teid_index", "_ue_ip_index", "_slab", "_free",
-    })
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.path_has("up"):
             return
-        for node, attr, receiver in _attr_mutations(
-            ctx.tree, self.SHARED_ATTRS
-        ):
+        for node, attr, receiver in attr_mutations(ctx.tree, SHARED_ATTRS):
             if receiver == "self":
                 # A class defining its own attribute of the same name
                 # owns it; the shared structures are never `self` here.
@@ -641,10 +587,6 @@ class MissingEpochBumpRule(Rule):
     code = "R009"
     name = "missing-epoch-bump"
 
-    RULE_ATTRS = frozenset({
-        "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
-    })
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -653,7 +595,7 @@ class MissingEpochBumpRule(Rule):
                 # Construction happens before any reader holds a
                 # snapshot; there is nothing to publish yet.
                 continue
-            mutations = list(_attr_mutations(node, self.RULE_ATTRS))
+            mutations = list(attr_mutations(node, RULE_ATTRS))
             if not mutations:
                 continue
             if self._has_bump(node):

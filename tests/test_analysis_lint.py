@@ -1,23 +1,25 @@
-"""Tests for the determinism lint pass (repro.analysis.lint).
+"""Tests for the file-local rules R001–R009 (repro.analysis.rules).
 
 Every rule gets at least one seeded-violation fixture that must fire
 and one clean fixture that must not, plus coverage for the noqa
-suppression convention, JSON output, and CLI exit codes.
+suppression convention.  The command's options and exit codes are
+tested in ``test_analysis_cli.py``.
 """
 
-import json
+import ast
 import textwrap
 
 import pytest
 
 from repro.analysis import rules as rules_mod
-from repro.analysis.lint import (
+from repro.analysis.lifecycle import SHARED_ATTRS, attr_mutations
+from repro.analysis.program import build_symbol_table, summarize
+from repro.analysis.lint import lint_file, lint_paths
+from repro.analysis.report import (
     apply_baseline,
+    github_annotation,
     iter_python_files,
-    lint_file,
-    lint_paths,
     load_baseline,
-    main,
 )
 from repro.analysis.rules import RULE_REGISTRY, Finding, all_rules
 
@@ -490,6 +492,45 @@ class TestMissingEpochBumpR009:
         assert "R009" not in codes(findings)
 
 
+class TestSharedMutationMatcher:
+    """``lifecycle.attr_mutations`` is the one matcher behind R008, R009
+    and the W002 summaries; every write form must be seen the same way
+    by the file-local rule and the whole-program summary."""
+
+    @pytest.mark.parametrize("stmt, attr, receiver", [
+        ("s.pdrs = {}", "pdrs", "s"),
+        ("s.pdrs += x", "pdrs", "s"),
+        ("s.pdrs[k] = v", "pdrs", "s"),
+        ("s.qers[k] += 1", "qers", "s"),
+        ("del s.fars[k]", "fars", "s"),
+        ("s.pdrs.pop(k)", "pdrs", "s"),
+        ("s.usage_counters.setdefault(k, v)", "usage_counters", "s"),
+        ("make().qer_enforcers.clear()", "qer_enforcers", None),
+    ])
+    def test_write_forms_match(self, tmp_path, stmt, attr, receiver):
+        source = f"def edit(s, k, v, x, make):\n    {stmt}\n"
+        tree = ast.parse(source)
+        assert [
+            (a, r) for _, a, r in attr_mutations(tree, SHARED_ATTRS)
+        ] == [(attr, receiver)]
+        assert sorted(codes(run_lint(source))) == ["R008", "R009"]
+        path = tmp_path / "mod.py"
+        path.write_text(source)
+        summary = summarize(build_symbol_table([(str(path), source)]))
+        sites = summary["mod.edit"].rule_mutations
+        assert [(m.attr, m.lineno) for m in sites] == [(attr, 2)]
+
+    @pytest.mark.parametrize("stmt", [
+        "x = s.pdrs[k]",
+        "s.pdrs.get(k)",
+        "del s.pdrs",
+        "s.other[k] = v",
+    ])
+    def test_reads_and_other_names_do_not_match(self, stmt):
+        tree = ast.parse(f"def edit(s, k, v):\n    {stmt}\n")
+        assert list(attr_mutations(tree, SHARED_ATTRS)) == []
+
+
 class TestSuppression:
     def test_bare_noqa_suppresses_all_codes(self):
         findings = run_lint(
@@ -529,49 +570,6 @@ class TestRunnerAndCli:
         fresh, _suppressed = apply_baseline(findings, baseline)
         assert fresh == []
 
-    def test_cli_exit_zero_on_repo(self, capsys):
-        assert main(["--baseline", "analysis-baseline.json",
-                     "src", "tests"]) == 0
-
-    def test_cli_exit_nonzero_on_violation(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nt = time.time()\n")
-        assert main([str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "R001" in out
-        assert "bad.py:2:" in out
-
-    def test_cli_json_output(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def f(x=[]):\n    return x\n")
-        assert main(["--json", str(bad)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["code"] == "R006"
-        assert payload[0]["line"] == 1
-        assert payload[0]["severity"] == "error"
-
-    def test_cli_select_filters_rules(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nt = time.time()\ndef f(x=[]):\n    pass\n")
-        assert main(["--select", "R006", str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "R006" in out and "R001" not in out
-
-    def test_cli_ignore_filters_rules(self, tmp_path, capsys):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\nt = time.time()\n")
-        assert main(["--ignore", "R001", str(bad)]) == 0
-
-    def test_cli_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in sorted(RULE_REGISTRY):
-            assert code in out
-
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
@@ -595,112 +593,8 @@ class TestRunnerAndCli:
         assert finding.format() == "src/x.py:3:7: R001 [error] boom"
 
 
-class TestBaseline:
-    BAD = "import time\nt = time.time()\n"
-
-    def _bad_file(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(self.BAD)
-        return bad
-
-    def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        assert main(["--baseline", str(baseline), str(bad)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined finding(s) suppressed" in out
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path, capsys):
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        bad.write_text(self.BAD + "def f(x=[]):\n    return x\n")
-        assert main(["--baseline", str(baseline), str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "R006" in out and "R001" not in out
-
-    def test_second_instance_of_baselined_violation_fails(
-        self, tmp_path, capsys
-    ):
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        # Same (path, code, message) a second time exceeds the budget.
-        bad.write_text(self.BAD + "u = time.time()\n")
-        assert main(["--baseline", str(baseline), str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "R001" in out
-
-    def test_baseline_survives_line_shift(self, tmp_path, capsys):
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        # Pad with comments: same finding, different line number.
-        bad.write_text("# padding\n# more padding\n" + self.BAD)
-        assert main(["--baseline", str(baseline), str(bad)]) == 0
-
-    def test_fixed_finding_makes_baseline_stale(self, tmp_path, capsys):
-        # Paying off the debt without regenerating the baseline fails
-        # with exit 2: a stale entry would silently absorb the next
-        # regression of the same (path, code, message).
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        bad.write_text("t = 0\n")
-        assert main(["--baseline", str(baseline), str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err
-        assert "regenerate with --write-baseline" in err
-        # Regenerating clears the failure.
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        assert main(["--baseline", str(baseline), str(bad)]) == 0
-
-    def test_missing_baseline_file_is_error(self, tmp_path, capsys):
-        bad = self._bad_file(tmp_path)
-        assert main(["--baseline", str(tmp_path / "nope.json"), str(bad)]) == 2
-
-    def test_baseline_file_format(self, tmp_path):
-        bad = self._bad_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        entry = payload["entries"][0]
-        assert entry["code"] == "R001"
-        assert entry["count"] == 1
-        assert "line" not in entry
-
-    def test_committed_repo_baseline_gates_clean(self, capsys):
-        """The committed baseline must keep the repo gate green."""
-        assert main(["--baseline", "analysis-baseline.json",
-                     "src", "tests"]) == 0
-
-
 class TestGithubFormat:
-    BAD = "import time\nt = time.time()\n"
-
-    def _bad_file(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(self.BAD)
-        return bad
-
-    def test_findings_render_as_workflow_annotations(self, tmp_path, capsys):
-        bad = self._bad_file(tmp_path)
-        assert main(["--format", "github", str(bad)]) == 1
-        out = capsys.readouterr().out
-        line = out.strip().splitlines()[0]
-        assert line.startswith("::error file=")
-        assert f"file={bad}" in line
-        assert "line=2" in line
-        assert "title=R001::" in line
-
     def test_annotation_escapes_newlines_and_percent(self):
-        from repro.analysis.lint import github_annotation
-        from repro.analysis.rules import Finding
-
         finding = Finding(
             path="src/x.py", line=3, col=7, code="R001",
             severity="warning", message="50% broken\nsecond line",
