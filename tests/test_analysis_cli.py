@@ -1,25 +1,22 @@
-"""Tests for the analysis command, ``python -m repro.analysis``.
+"""Tests of the analysis command, ``python -m repro.analysis``, that
+span every kind of check: one JSON schema, one parse per file, path
+normalisation, the ``tests/`` exclusion of the whole-program checks,
+unknown codes, and how a run scopes the baseline and budget files.
 
-Seeded fixtures for each half of one run — the file-local rules
-(R-codes), the whole-program checks (W001–W004) and the typestate
-checks (W005–W008) — through the one option surface: exit codes
-0/1/2, select/ignore, text/github/JSON output, the one baseline file,
-the budget file and the call-graph dump.
+Each kind of check through the command is tested beside its other
+tests: the file-local rules in ``test_analysis_lint.py``, W001–W004 in
+``test_program_cli.py`` and W005–W008 in ``test_dataflow_cli.py``.
 """
 
 import json
 import os
-import subprocess
-import sys
 import textwrap
 
 import pytest
 
 from repro.analysis import report
-from repro.analysis.__main__ import catalog, main
-from repro.analysis.rules import RULE_REGISTRY, FileContext, Finding
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from repro.analysis.__main__ import main
+from repro.analysis.rules import FileContext, Finding
 
 #: File-local fixture: R001 on line 2 (R006 and friends only fire
 #: under a ``src``/``repro`` path).
@@ -47,20 +44,13 @@ PROGRAM = {
     }),
 }
 
-#: Typestate fixture: W005 mutate-after-send, and its clean twin.
+#: Typestate fixture: W005 mutate-after-send.
 DIRTY = {
     "pkg/__init__.py": "",
     "pkg/up.py": """
         def emit(chan, desc):
             chan.send(desc)
             desc.seq = 2
-    """,
-}
-CLEAN = {
-    "pkg/__init__.py": "",
-    "pkg/up.py": """
-        def emit(chan, desc):
-            chan.send(desc)
     """,
 }
 
@@ -87,33 +77,6 @@ def json_run(args, capsys):
 
 
 class TestExitCodes:
-    def test_clean_tree_exits_zero(self, tree, capsys):
-        tree(CLEAN)
-        assert main(["pkg"]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_findings_exit_one(self, tree, capsys):
-        tree(DIRTY)
-        assert main(["pkg"]) == 1
-        out = capsys.readouterr().out
-        assert "W005" in out
-        assert "call chain:" in out
-
-    def test_lint_finding_names_file_and_line(self, tree, capsys):
-        tree({LINT_PATH: LINT_BAD})
-        assert main([LINT_PATH]) == 1
-        out = capsys.readouterr().out
-        assert "R001" in out
-        assert "bad.py:2:" in out
-
-    def test_missing_path_exits_two(self, tree, capsys):
-        tree(CLEAN)
-        assert main(["nonexistent"]) == 2
-
-    def test_missing_baseline_exits_two(self, tree, capsys):
-        tree(DIRTY)
-        assert main(["pkg", "--baseline", "missing.json"]) == 2
-
     @pytest.mark.parametrize("flag", ["--select", "--ignore"])
     def test_unknown_code_exits_two(self, tree, capsys, flag):
         tree(DIRTY)
@@ -121,34 +84,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "unknown check code(s): W999" in captured.err
         assert captured.out == ""
-
-
-class TestSelection:
-    def test_select_restricts_codes(self, tree, capsys):
-        tree(PROGRAM)
-        assert main(["pkg", "--select", "W004"]) == 1
-        out = capsys.readouterr().out
-        assert "W004" in out and "W001" not in out
-
-    def test_ignore_drops_codes(self, tree, capsys):
-        tree(PROGRAM)
-        assert main(["pkg", "--ignore", "W001,W004"]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_select_filters_file_local_rules(self, tree, capsys):
-        tree({LINT_PATH: LINT_BAD + "def f(x=[]):\n    pass\n"})
-        assert main(["--select", "R006", LINT_PATH]) == 1
-        out = capsys.readouterr().out
-        assert "R006" in out and "R001" not in out
-
-    def test_ignore_filters_file_local_rules(self, tree):
-        tree({LINT_PATH: LINT_BAD})
-        assert main(["--ignore", "R001", LINT_PATH]) == 0
-
-    def test_select_other_code_skips_typestate_finding(self, tree):
-        tree(DIRTY)
-        assert main(["pkg", "--select", "W006"]) == 0
-        assert main(["pkg", "--ignore", "W005"]) == 0
 
 
 class TestOutputs:
@@ -172,127 +107,7 @@ class TestOutputs:
         assert data["stats"]["cfgs"] > 0
         assert ENTRY in data["hot_path"]
 
-    def test_github_format_annotates_lines(self, tree, capsys):
-        tree({**PROGRAM, LINT_PATH: LINT_BAD})
-        assert main(["pkg", LINT_PATH, "--format", "github"]) == 1
-        out = capsys.readouterr().out
-        # Annotations are one line per finding, no chain spill.
-        lines = out.strip().splitlines()
-        assert all(line.startswith("::error file=") for line in lines)
-        assert "title=W001::" in out
-        lint = [line for line in lines if "title=R001::" in line]
-        assert len(lint) == 1
-        assert f"file={LINT_PATH}," in lint[0]
-        assert "line=2," in lint[0]
-
-    def test_graph_json_dump(self, tree, capsys):
-        tree(PROGRAM)
-        code = main(["pkg", "--graph", "json"])
-        data = json.loads(capsys.readouterr().out)
-        assert code == 0
-        pairs = {(e["caller"], e["callee"]) for e in data["edges"]}
-        assert ("pkg.up.mod.UPF.process", "pkg.up.mod.UPF._helper") in pairs
-
-    def test_graph_dot_focused_on_entries(self, tree, capsys):
-        tree(PROGRAM)
-        code = main(["pkg", "--graph", "dot", "--graph-focus", ENTRY])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("digraph callgraph {")
-        assert '"UPF.process" -> "UPF._helper"' in out
-
-    def test_list_rules_names_every_code(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in sorted(RULE_REGISTRY):
-            assert code in out
-        for code in ("W001", "W002", "W003", "W004",
-                     "W005", "W006", "W007", "W008"):
-            assert f"{code}  " in out
-        assert len(catalog()) == len(RULE_REGISTRY) + 8
-
-
 class TestBaseline:
-    def test_write_then_apply_baseline(self, tree, capsys):
-        tree({**PROGRAM, LINT_PATH: LINT_BAD})
-        assert main(["pkg", LINT_PATH, "--write-baseline", "base.json"]) == 0
-        capsys.readouterr()
-        assert main(["pkg", LINT_PATH, "--baseline", "base.json"]) == 0
-        out = capsys.readouterr().out
-        assert "3 baselined finding(s) suppressed" in out
-
-    def test_new_finding_fails_despite_baseline(self, tree, capsys):
-        root = tree({LINT_PATH: LINT_BAD})
-        assert main(["--write-baseline", "base.json", LINT_PATH]) == 0
-        (root / LINT_PATH).write_text(LINT_BAD + "def f(x=[]):\n    return x\n")
-        capsys.readouterr()
-        assert main(["--baseline", "base.json", LINT_PATH]) == 1
-        out = capsys.readouterr().out
-        assert "R006" in out and "R001" not in out
-
-    def test_second_instance_of_baselined_violation_fails(
-        self, tree, capsys
-    ):
-        root = tree({LINT_PATH: LINT_BAD})
-        assert main(["--write-baseline", "base.json", LINT_PATH]) == 0
-        # Same (path, code, message) a second time exceeds the budget.
-        (root / LINT_PATH).write_text(LINT_BAD + "u = time.time()\n")
-        capsys.readouterr()
-        assert main(["--baseline", "base.json", LINT_PATH]) == 1
-        assert "R001" in capsys.readouterr().out
-
-    def test_baseline_survives_line_shift(self, tree, capsys):
-        root = tree({**DIRTY, LINT_PATH: LINT_BAD})
-        assert main(["pkg", LINT_PATH, "--write-baseline", "base.json"]) == 0
-        # Pad with comments: same findings, different line numbers.
-        for relpath in ("pkg/up.py", LINT_PATH):
-            path = root / relpath
-            path.write_text("# padding\n# more padding\n" + path.read_text())
-        assert main(["pkg", LINT_PATH, "--baseline", "base.json"]) == 0
-
-    def test_fixed_finding_makes_baseline_stale(self, tree, capsys):
-        # Paying off the debt without regenerating the baseline fails
-        # with exit 2: a stale entry would silently absorb the next
-        # regression of the same (path, code, message).
-        root = tree(DIRTY)
-        assert main(["pkg", "--write-baseline", "base.json"]) == 0
-        (root / "pkg" / "up.py").write_text(
-            textwrap.dedent(CLEAN["pkg/up.py"])
-        )
-        capsys.readouterr()
-        assert main(["pkg", "--baseline", "base.json"]) == 2
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err
-        assert "regenerate with --write-baseline" in err
-        # Regenerating clears the failure.
-        assert main(["pkg", "--write-baseline", "base.json"]) == 0
-        assert main(["pkg", "--baseline", "base.json"]) == 0
-
-    def test_stale_gate_scoped_to_selected_codes(self, tree, capsys):
-        # A baselined W005 must not count as stale when only W006 runs.
-        tree(DIRTY)
-        assert main(["pkg", "--write-baseline", "base.json"]) == 0
-        capsys.readouterr()
-        assert main(["pkg", "--select", "W006", "--baseline", "base.json"]) == 0
-
-    def test_baseline_file_format(self, tree):
-        root = tree({LINT_PATH: LINT_BAD})
-        assert main(["--write-baseline", "base.json", LINT_PATH]) == 0
-        payload = json.loads((root / "base.json").read_text())
-        assert payload["version"] == 1
-        entry = payload["entries"][0]
-        assert entry["path"] == LINT_PATH
-        assert entry["code"] == "R001"
-        assert entry["count"] == 1
-        assert "line" not in entry
-
-    def test_default_baseline_picked_up_from_cwd(self, tree, capsys):
-        tree(DIRTY)
-        assert main(["pkg", "--write-baseline", "analysis-baseline.json"]) == 0
-        capsys.readouterr()
-        assert main(["pkg"]) == 0
-        assert "1 baselined finding(s) suppressed" in capsys.readouterr().out
-
     def test_selected_write_keeps_other_codes_and_paths(self, tree, capsys):
         root = tree({**DIRTY, LINT_PATH: LINT_BAD})
         assert main(["pkg", LINT_PATH, "--write-baseline", "base.json"]) == 0
@@ -332,46 +147,6 @@ class TestBaseline:
 
 
 class TestBudget:
-    def test_budget_grants_intentional_allocations(self, tree):
-        root = tree(PROGRAM)
-        (root / "budget.json").write_text(json.dumps({
-            "version": 1,
-            "entry_points": [ENTRY],
-            "budgets": {
-                "pkg.up.mod.UPF._helper": {
-                    "allocations": 1, "reason": "fixture"
-                },
-            },
-        }))
-        assert main(["pkg", "--budget", "budget.json", "--select", "W001"]) == 0
-
-    def test_default_config_picked_up_from_cwd(self, tree):
-        root = tree(PROGRAM)
-        assert main(["pkg", "--select", "W001"]) == 1
-        (root / "analysis-budget.json").write_text(json.dumps({
-            "version": 1,
-            "entry_points": [ENTRY],
-            "budgets": {
-                "pkg.up.mod.UPF._helper": {
-                    "allocations": 1, "reason": "fixture"
-                },
-            },
-        }))
-        assert main(["pkg", "--select", "W001"]) == 0
-
-    def test_stale_budget_entry_fails_hard(self, tree, capsys):
-        root = tree(PROGRAM)
-        (root / "budget.json").write_text(json.dumps({
-            "version": 1,
-            "budgets": {
-                "pkg.up.mod.UPF.gone": {"allocations": 1, "reason": "x"},
-            },
-        }))
-        assert main(["pkg", "--budget", "budget.json"]) == 2
-        err = capsys.readouterr().err
-        assert "stale budget entry" in err
-        assert "pkg.up.mod.UPF.gone" in err
-
     def test_budget_judged_only_for_analyzed_modules(self, tree):
         # A subtree run cannot tell whether another package's budgeted
         # function still exists.
@@ -429,34 +204,3 @@ class TestOneRun:
             (os.path.join("pkg", "up.py"), "W005"),
             (os.path.join("tests", "test_up.py"), "R001"),
         }
-
-
-class TestRepoIntegration:
-    def test_repo_tree_runs_clean_with_committed_config(
-        self, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(REPO_ROOT)
-        code, data = json_run([], capsys)
-        assert code == 0
-        assert data["findings"] == []
-        # The race-detector tests' deliberate R008 ownership writes and
-        # sim's reviewed W004 import of the race hook.
-        assert data["suppressed"] == 17
-
-    def test_analyzer_is_not_imported_by_runtime_code(self):
-        # Acceptance: disabled, the analyzers add zero import-time cost.
-        script = (
-            "import sys; import repro.up, repro.cp, repro.sim; "
-            "assert not any(m.startswith(('repro.analysis.program', "
-            "'repro.analysis.dataflow', 'repro.analysis.__main__', "
-            "'repro.analysis.lint')) "
-            "for m in sys.modules), sorted(sys.modules)"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-        subprocess.run(
-            [sys.executable, "-c", script],
-            check=True,
-            env=env,
-            cwd=REPO_ROOT,
-        )

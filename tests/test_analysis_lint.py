@@ -2,16 +2,20 @@
 
 Every rule gets at least one seeded-violation fixture that must fire
 and one clean fixture that must not, plus coverage for the noqa
-suppression convention.  The command's options and exit codes are
-tested in ``test_analysis_cli.py``.
+suppression convention, plus the R-codes through the analysis command
+(``python -m repro.analysis``): exit codes, select/ignore, JSON and
+GitHub output, and the baseline file.
 """
 
 import ast
+import json
+import os
 import textwrap
 
 import pytest
 
 from repro.analysis import rules as rules_mod
+from repro.analysis.__main__ import catalog, main
 from repro.analysis.lifecycle import SHARED_ATTRS, attr_mutations
 from repro.analysis.program import build_symbol_table, summarize
 from repro.analysis.lint import lint_file, lint_paths
@@ -23,6 +27,11 @@ from repro.analysis.report import (
 )
 from repro.analysis.rules import RULE_REGISTRY, Finding, all_rules
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: ``--select`` value that runs the file-local rules only.
+LINT_CODES = ",".join(sorted(RULE_REGISTRY))
+
 
 def run_lint(source, path="src/repro/example.py"):
     """Lint an in-memory snippet as if it lived at ``path``."""
@@ -31,6 +40,21 @@ def run_lint(source, path="src/repro/example.py"):
 
 def codes(findings):
     return [f.code for f in findings]
+
+
+@pytest.fixture
+def outside_repo(tmp_path, monkeypatch):
+    """Run the command from ``tmp_path`` so the repo's committed
+    baseline and budget stay out of scope."""
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def write_bad_file(root, source="import time\nt = time.time()\n"):
+    bad = root / "src" / "repro" / "bad.py"
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_text(source)
+    return bad
 
 
 class TestRegistry:
@@ -570,6 +594,48 @@ class TestRunnerAndCli:
         fresh, _suppressed = apply_baseline(findings, baseline)
         assert fresh == []
 
+    def test_cli_exit_zero_on_repo(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["--select", LINT_CODES, "src", "tests"]) == 0
+
+    def test_cli_exit_nonzero_on_violation(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo)
+        assert main([str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "R001" in out
+        assert "bad.py:2:" in out
+
+    def test_cli_json_output(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo, "def f(x=[]):\n    return x\n")
+        assert main(["--json", str(bad)]) == 1
+        payload = json.loads(capsys.readouterr().out)["findings"]
+        assert payload[0]["code"] == "R006"
+        assert payload[0]["line"] == 1
+        assert payload[0]["severity"] == "error"
+
+    def test_cli_select_filters_rules(self, outside_repo, capsys):
+        bad = write_bad_file(
+            outside_repo,
+            "import time\nt = time.time()\ndef f(x=[]):\n    pass\n",
+        )
+        assert main(["--select", "R006", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "R006" in out and "R001" not in out
+
+    def test_cli_ignore_filters_rules(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo)
+        assert main(["--ignore", "R001", str(bad)]) == 0
+
+    def test_cli_list_rules(self, capsys):
+        assert main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for code in sorted(RULE_REGISTRY):
+            assert code in out
+        for code in ("W001", "W002", "W003", "W004",
+                     "W005", "W006", "W007", "W008"):
+            assert f"{code}  " in out
+        assert len(catalog()) == len(RULE_REGISTRY) + 8
+
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
@@ -593,7 +659,105 @@ class TestRunnerAndCli:
         assert finding.format() == "src/x.py:3:7: R001 [error] boom"
 
 
+class TestBaseline:
+    BAD = "import time\nt = time.time()\n"
+
+    def test_write_baseline_then_gate_passes(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        assert main(["--baseline", str(baseline), str(bad)]) == 0
+        out = capsys.readouterr().out
+        assert "1 baselined finding(s) suppressed" in out
+
+    def test_new_finding_fails_despite_baseline(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        bad.write_text(self.BAD + "def f(x=[]):\n    return x\n")
+        capsys.readouterr()
+        assert main(["--baseline", str(baseline), str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "R006" in out and "R001" not in out
+
+    def test_second_instance_of_baselined_violation_fails(
+        self, outside_repo, capsys
+    ):
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        # Same (path, code, message) a second time exceeds the budget.
+        bad.write_text(self.BAD + "u = time.time()\n")
+        capsys.readouterr()
+        assert main(["--baseline", str(baseline), str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "R001" in out
+
+    def test_baseline_survives_line_shift(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        # Pad with comments: same finding, different line number.
+        bad.write_text("# padding\n# more padding\n" + self.BAD)
+        assert main(["--baseline", str(baseline), str(bad)]) == 0
+
+    def test_fixed_finding_makes_baseline_stale(self, outside_repo, capsys):
+        # Paying off the debt without regenerating the baseline fails
+        # with exit 2: a stale entry would silently absorb the next
+        # regression of the same (path, code, message).
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        bad.write_text("t = 0\n")
+        assert main(["--baseline", str(baseline), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "stale baseline entry" in err
+        assert "regenerate with --write-baseline" in err
+        # Regenerating clears the failure.
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        assert main(["--baseline", str(baseline), str(bad)]) == 0
+
+    def test_missing_baseline_file_is_error(self, outside_repo, capsys):
+        bad = write_bad_file(outside_repo, self.BAD)
+        missing = outside_repo / "nope.json"
+        assert main(["--baseline", str(missing), str(bad)]) == 2
+
+    def test_baseline_file_format(self, outside_repo):
+        bad = write_bad_file(outside_repo, self.BAD)
+        baseline = outside_repo / "baseline.json"
+        assert main(["--write-baseline", str(baseline), str(bad)]) == 0
+        payload = json.loads(baseline.read_text())
+        assert payload["version"] == 1
+        entry = payload["entries"][0]
+        assert entry["path"] == str(bad)
+        assert entry["code"] == "R001"
+        assert entry["count"] == 1
+        assert "line" not in entry
+
+    def test_committed_repo_baseline_gates_clean(self, monkeypatch, capsys):
+        """The committed baseline must keep the repo gate green."""
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["--baseline", "analysis-baseline.json",
+                     "--select", LINT_CODES, "src", "tests"]) == 0
+        # The race-detector tests' deliberate R008 ownership writes.
+        assert "16 baselined finding(s) suppressed" in (
+            capsys.readouterr().out
+        )
+
+
 class TestGithubFormat:
+    def test_findings_render_as_workflow_annotations(
+        self, outside_repo, capsys
+    ):
+        bad = write_bad_file(outside_repo)
+        assert main(["--format", "github", str(bad)]) == 1
+        out = capsys.readouterr().out
+        line = out.strip().splitlines()[0]
+        assert line.startswith("::error file=")
+        assert f"file={bad}" in line
+        assert "line=2" in line
+        assert "title=R001::" in line
+
     def test_annotation_escapes_newlines_and_percent(self):
         finding = Finding(
             path="src/x.py", line=3, col=7, code="R001",
