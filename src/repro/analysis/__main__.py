@@ -4,12 +4,13 @@ One run parses every ``*.py`` file under ``paths`` (default ``src
 tests``) once into a :class:`~repro.analysis.rules.FileContext`, then
 
 1. runs the file-local rules R001–R009 (:mod:`.rules`) on every file;
-2. builds one :class:`~repro.analysis.program.SymbolTable` from the
-   same trees of the non-test files (any path with a ``tests``
-   component: their seeded analyzer fixtures are deliberate
-   violations) and runs the whole-program checks W001–W004
-   (:mod:`.program`) and the typestate checks W005–W008
-   (:mod:`.dataflow`) over it.
+2. builds one :class:`~repro.analysis.program.SymbolTable` and one
+   :class:`~repro.analysis.program.CallGraph` (which builds each
+   function's CFG at most once) from the same trees of the non-test
+   files (any path with a ``tests`` component: their seeded analyzer
+   fixtures are deliberate violations) and runs the whole-program
+   checks W001–W004 (:mod:`.program`) and the typestate checks
+   W005–W008 (:mod:`.dataflow`) over them.
 
 Options
 -------
@@ -55,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .dataflow.checks import CHECKS as DATAFLOW_CHECKS
 from .dataflow.checks import analyze_dataflow
 from .lint import check_file, parse_file
+from .program.callgraph import build_call_graph
 from .program.checks import CHECKS as PROGRAM_CHECKS
 from .program.checks import Budget, _stop_modules, analyze_program
 from .program.symbols import build_symbol_table
@@ -177,15 +179,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     program_files = [c for c in contexts if not _is_test_path(c.path)]
     run_program = args.graph or active & set(PROGRAM_CHECKS)
     run_dataflow = not args.graph and active & set(DATAFLOW_CHECKS)
-    table = (
-        build_symbol_table(program_files)
+    graph = (
+        build_call_graph(build_symbol_table(program_files))
         if run_program or run_dataflow
         else None
     )
     stats: Dict[str, int] = {"files": len(contexts)}
     hot_path: Dict[str, Tuple[str, ...]] = {}
     if run_program:
-        program = analyze_program(program_files, budget=budget, table=table)
+        program = analyze_program(program_files, budget=budget, graph=graph)
         if program.stale_budget_entries:
             for qualname in program.stale_budget_entries:
                 print(
@@ -215,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dataflow = analyze_dataflow(
             program_files,
             checks=sorted(active & set(DATAFLOW_CHECKS)),
-            table=table,
+            graph=graph,
         )
         findings.extend(dataflow.findings)
         stats.update(dataflow.stats)

@@ -1,8 +1,9 @@
-"""Typestate dataflow engine: static lifecycle verification.
+"""Typestate dataflow checks: static lifecycle verification.
 
-A worklist-based forward dataflow framework (:mod:`.engine`) over the
-statement-level CFGs of :mod:`repro.analysis.program.cfg`, plus four
-typestate checks (:mod:`.checks`):
+Four typestate checks (:mod:`.checks`) solved by the worklist solver
+of :mod:`repro.analysis.program.cfg` over the same per-function CFGs
+as W002, with interprocedural effect summaries (:mod:`.engine`) over
+the call graph:
 
 ========  =========================================================
 W005      descriptor typestate — mutate-after-send / double-enqueue
@@ -13,19 +14,15 @@ W008      dead config — flags and metrics nothing observes
 ========  =========================================================
 
 Run through the analysis command, ``python -m repro.analysis``, which
-shares one symbol table with the whole-program checks.  Never import this
+shares one symbol table, call graph and set of CFGs with the
+whole-program checks.  Never import this
 package (or anything under ``repro.analysis``) from runtime modules —
 the analyzers observe the data plane, they must not load with it.
 """
 
+from ..program.cfg import Analysis, solve
 from .checks import CHECK_CODES, DataflowReport, analyze_dataflow
-from .engine import (
-    MAX_CHAIN_DEPTH,
-    Analysis,
-    FunctionEffects,
-    compute_effects,
-    solve,
-)
+from .engine import MAX_CHAIN_DEPTH, FunctionEffects, compute_effects
 
 __all__ = [
     "Analysis",

@@ -40,7 +40,6 @@ from ..lifecycle import (
     ACQUIRE_METHODS,
     DANGLING_RULE_REF,
     DEAD_CONFIG,
-    DESCRIPTOR_HANDOFF_METHODS,
     DOUBLE_ENQUEUE,
     DOUBLE_ESTABLISH,
     LEAK_ON_RAISE,
@@ -48,28 +47,22 @@ from ..lifecycle import (
     MUTATE_AFTER_SEND,
     MUTATING_METHODS,
     REMOVE_BEFORE_ESTABLISH,
-    SEND_METHODS,
     SESSION_CLASS_SUFFIX,
     SESSION_ESTABLISH_METHODS,
     SESSION_INSTALL_METHODS,
     SESSION_REMOVE_METHODS,
     USE_AFTER_REMOVE,
 )
-from ..program.cfg import CFG, CFGNode, CallSite, build_cfg
+from ..program.callgraph import CallGraph, build_call_graph
+from ..program.cfg import CFG, Analysis, CFGNode, CallSite, solve
 from ..program.checks import ProgramFinding, _apply_noqa, _stop_modules
 from ..program.symbols import (
     FunctionInfo,
     SymbolTable,
     build_symbol_table,
 )
-from ..rules import SourceFile, as_contexts
-from .engine import (
-    Analysis,
-    FunctionEffects,
-    compute_effects,
-    solve,
-    _resolve_call_targets,
-)
+from ..rules import SourceFile, as_contexts, dotted_name, in_modules
+from .engine import FunctionEffects, compute_effects, handoff_arg
 
 __all__ = [
     "CHECKS",
@@ -101,34 +94,32 @@ class DataflowReport:
 def analyze_dataflow(
     files: Sequence[SourceFile],
     checks: Optional[Sequence[str]] = None,
-    table: Optional[SymbolTable] = None,
+    graph: Optional[CallGraph] = None,
 ) -> DataflowReport:
     """Run the typestate checks over (path, source) pairs or parsed
-    contexts; ``table``, when given, is their prebuilt symbol table."""
+    contexts; ``graph``, when given, is their prebuilt call graph, whose
+    symbol table and CFGs the checks reuse."""
     wanted = set(checks if checks is not None else CHECK_CODES)
     contexts = as_contexts(files)
-    if table is None:
-        table = build_symbol_table(contexts)
-    effects = compute_effects(
-        table,
-        send_methods=tuple(SEND_METHODS),
-        handoff_methods=tuple(DESCRIPTOR_HANDOFF_METHODS),
-    )
-    stops = tuple(_stop_modules(table))
+    if graph is None:
+        graph = build_call_graph(build_symbol_table(contexts))
+    table = graph.table
+    effects = compute_effects(table, graph)
+    stops = _stop_modules(table)
     findings: List[ProgramFinding] = []
     cfgs = 0
     for qualname in sorted(table.functions):
         func = table.functions[qualname]
-        if stops and func.module.startswith(stops):
+        if in_modules(func.module, stops):
             continue
-        cfg = build_cfg(func.node, qualname)
+        cfg = graph.cfg(qualname)
         cfgs += 1
         if "W005" in wanted:
-            findings.extend(_check_w005(table, func, cfg, effects))
+            findings.extend(_check_w005(graph, func, cfg, effects))
         if "W006" in wanted:
-            findings.extend(_check_w006(table, func, cfg))
+            findings.extend(_check_w006(func, cfg))
         if "W007" in wanted:
-            findings.extend(_check_w007(table, func, cfg, effects))
+            findings.extend(_check_w007(graph, func, cfg, effects))
     if "W008" in wanted:
         findings.extend(_check_w008(table, stops))
     findings = _apply_noqa(contexts, findings)
@@ -175,26 +166,6 @@ def _is_method_call(call: CallSite) -> bool:
     return isinstance(call.node.func, ast.Attribute)
 
 
-def _handoff_arg(call: CallSite) -> Optional[ast.Name]:
-    """The descriptor a call hands to a transport, if any.
-
-    ``enqueue``/``send_to_nf``/``send_out`` always hand over their
-    first positional argument; plain ``send`` only in its unary form
-    (the bus's ``send(source, destination, message, ...)`` carries NF
-    names, not descriptors).
-    """
-    if not _is_method_call(call) or not call.args:
-        return None
-    first = call.args[0]
-    if not isinstance(first, ast.Name):
-        return None
-    if call.name in DESCRIPTOR_HANDOFF_METHODS:
-        return first
-    if call.name in SEND_METHODS and len(call.args) == 1:
-        return first
-    return None
-
-
 # ===========================================================================
 # W005 — descriptor typestate
 # ===========================================================================
@@ -216,7 +187,7 @@ class _W005State(Analysis):
             kills = set(node.defs)
             out = {f for f in out if f[0] not in kills}
         for call in node.calls:
-            arg = _handoff_arg(call)
+            arg = handoff_arg(call.node)
             if arg is not None:
                 out.add((
                     arg.id,
@@ -230,7 +201,7 @@ class _W005State(Analysis):
 
 
 def _check_w005(
-    table: SymbolTable,
+    graph: CallGraph,
     func: FunctionInfo,
     cfg: CFG,
     effects: Dict[str, FunctionEffects],
@@ -269,7 +240,7 @@ def _check_w005(
                 )
         for call in node.calls:
             # Re-send / re-enqueue of a sent descriptor.
-            handoff = _handoff_arg(call)
+            handoff = handoff_arg(call.node)
             if handoff is not None:
                 if handoff.id in sent:
                     _, step = sent[handoff.id]
@@ -314,7 +285,7 @@ def _check_w005(
             if not sent_args:
                 continue
             shift = 1 if _is_method_call(call) else 0
-            for target in _resolve_call_targets(table, func, call.node):
+            for target in graph.targets(call.node):
                 eff = effects.get(target)
                 if eff is None:
                     continue
@@ -496,7 +467,7 @@ class _W006State(Analysis):
             for arg in call.args:
                 base = None
                 if isinstance(arg, ast.Attribute):
-                    base = _base_var(_dotted_text(arg))
+                    base = _base_var(dotted_name(arg))
                 if base in facts:
                     var, states, fars, unknown, refs, origins = facts[base]
                     facts[base] = (
@@ -529,11 +500,6 @@ class _W006State(Analysis):
                 facts.pop(arg.id, None)
 
 
-def _dotted_text(node: ast.AST) -> Optional[str]:
-    from ..program.cfg import _dotted
-    return _dotted(node)
-
-
 def _constant_kwarg(call: CallSite, kwarg: str) -> Optional[int]:
     """Constant int value of ``kwarg`` on the (sole) ctor argument."""
     for arg in list(call.args) + [
@@ -548,9 +514,7 @@ def _constant_kwarg(call: CallSite, kwarg: str) -> Optional[int]:
     return None
 
 
-def _check_w006(
-    table: SymbolTable, func: FunctionInfo, cfg: CFG
-) -> List[ProgramFinding]:
+def _check_w006(func: FunctionInfo, cfg: CFG) -> List[ProgramFinding]:
     states = solve(cfg, _W006State(func.qualname))
     findings: Dict[Tuple[int, str], ProgramFinding] = {}
 
@@ -607,7 +571,7 @@ def _check_w006(
                 for arg in call.args:
                     base = None
                     if isinstance(arg, ast.Attribute):
-                        base = _base_var(_dotted_text(arg))
+                        base = _base_var(dotted_name(arg))
                     if (
                         base in facts
                         and facts[base][1] == frozenset({"created"})
@@ -673,13 +637,11 @@ class _W007State(Analysis):
     def __init__(
         self,
         qualname: str,
-        table: SymbolTable,
-        func: FunctionInfo,
+        graph: CallGraph,
         effects: Dict[str, FunctionEffects],
     ):
         self.qualname = qualname
-        self.table = table
-        self.func = func
+        self.graph = graph
         self.effects = effects
         #: call lineno -> may-raise witness chain (memoized)
         self._raise_cache: Dict[int, Optional[Tuple[str, ...]]] = {}
@@ -707,9 +669,7 @@ class _W007State(Analysis):
                 "raise (lifecycle contract)",
             )
         else:
-            for target in _resolve_call_targets(
-                self.table, self.func, call.node
-            ):
+            for target in self.graph.targets(call.node):
                 eff = self.effects.get(target)
                 if eff is not None and eff.may_raise:
                     witness = eff.may_raise
@@ -743,7 +703,7 @@ class _W007State(Analysis):
                 and isinstance(value.func, ast.Attribute)
                 and value.func.attr in SESSION_REMOVE_METHODS
             ):
-                recv = _dotted_text(value.func.value) or "the table"
+                recv = dotted_name(value.func.value) or "the table"
                 acquired.append((
                     "session",
                     target.id,
@@ -864,7 +824,7 @@ def _none_guard_key(test: ast.expr):
         and isinstance(test.comparators[0], ast.Constant)
         and test.comparators[0].value is None
     ):
-        key = _dotted_text(test.left)
+        key = dotted_name(test.left)
         if key:
             return key, isinstance(test.ops[0], ast.IsNot)
     return None
@@ -893,12 +853,12 @@ def _acquire_test_polarity(test: ast.expr):
 
 
 def _check_w007(
-    table: SymbolTable,
+    graph: CallGraph,
     func: FunctionInfo,
     cfg: CFG,
     effects: Dict[str, FunctionEffects],
 ) -> List[ProgramFinding]:
-    analysis = _W007State(func.qualname, table, func, effects)
+    analysis = _W007State(func.qualname, graph, effects)
     states = solve(cfg, analysis)
     leaked = states.get(cfg.raise_exit)
     if not leaked:
@@ -966,7 +926,7 @@ def _check_w007(
 # W008 — constant-propagation dead config
 # ===========================================================================
 def _check_w008(
-    table: SymbolTable, stops: Tuple[str, ...]
+    table: SymbolTable, stops: Sequence[str]
 ) -> List[ProgramFinding]:
     findings: List[ProgramFinding] = []
 
@@ -998,7 +958,7 @@ def _check_w008(
         cls = table.classes[cls_qualname]
         if not cls_qualname.split(".")[-1].endswith("Config"):
             continue
-        if stops and cls.module.startswith(stops):
+        if in_modules(cls.module, stops):
             continue
         for stmt in cls.node.body:
             if not isinstance(stmt, ast.AnnAssign) or not isinstance(
@@ -1030,7 +990,7 @@ def _check_w008(
             )
 
     for path, module, method, lineno in discarded:
-        if stops and module.startswith(stops):
+        if in_modules(module, stops):
             continue
         findings.append(
             ProgramFinding(

@@ -1,131 +1,39 @@
-"""Worklist-based forward dataflow solver over the program CFGs.
+"""Interprocedural effect summaries for the typestate checks.
 
-The generic half of the typestate engine: an :class:`Analysis` supplies
-the lattice (``initial``/``join``/``equals``) and the transfer
-function; :func:`solve` runs the standard chaotic-iteration worklist to
-a fixpoint over one :class:`~repro.analysis.program.cfg.CFG` and
-returns the in-state of every node.
-
-Transfer functions return **two** out-states — ``(normal, exc)`` — so
-an analysis can model statements whose effect differs on the
-exceptional edge (e.g. a failed ``add`` leaves a removed session
-*held*, a successful one transfers it).  Returning ``None`` for the
-exceptional state suppresses propagation along that statement's
-exception edges entirely, which is how checks ignore raising edges
-they consider infeasible (calls whose callees provably do not raise).
-
-Interprocedural context is supplied separately: the checks consult
-:class:`FunctionEffects` summaries (computed by a bounded fixpoint over
-the PR 5 call graph) at call sites instead of inlining callees, which
-bounds the analysis to one CFG at a time while still propagating
-mutate/send/raise behavior through helpers — the "bounded context"
-design from the whole-program checks.
+The checks W005–W007 solve one CFG at a time with the worklist solver
+(:func:`repro.analysis.program.cfg.solve`, re-exported by this
+package) and consult :class:`FunctionEffects` summaries at call sites
+instead of inlining callees.  :func:`compute_effects` builds them with
+a bounded fixpoint over the call graph, which is also where every call
+site's targets come from (``self`` calls included), so mutate / send /
+raise behaviour propagates through helpers while the analysis stays
+one CFG at a time.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..program.cfg import CFG, CFGNode, build_cfg
-from ..program.symbols import FunctionInfo, SymbolTable
+from ..lifecycle import DESCRIPTOR_HANDOFF_METHODS, SEND_METHODS
+from ..program.callgraph import CallGraph, build_call_graph
+from ..program.checks import _stop_modules
+from ..program.symbols import SymbolTable
+from ..rules import in_modules, walk_own
 
 __all__ = [
-    "Analysis",
-    "solve",
     "FunctionEffects",
     "compute_effects",
+    "handoff_arg",
     "MAX_CHAIN_DEPTH",
 ]
 
 #: Bounded interprocedural context: effect chains stop growing past
-#: this many call steps (matching the epoch-flow fixpoint's bound).
+#: this many call steps.
 MAX_CHAIN_DEPTH = 4
 
 
-class Analysis:
-    """Interface a typestate check implements for :func:`solve`."""
-
-    def initial(self, cfg: CFG) -> object:
-        raise NotImplementedError
-
-    def join(self, states: Sequence[object]) -> object:
-        raise NotImplementedError
-
-    def transfer(
-        self, node: CFGNode, state: object
-    ) -> Tuple[object, Optional[object]]:
-        """Out-states ``(normal, exceptional)`` of one node."""
-        raise NotImplementedError
-
-    def transfer_branch(
-        self, node: CFGNode, state: object
-    ) -> Optional[Tuple[object, object, Optional[object]]]:
-        """Branch-aware transfer for if/loop headers.
-
-        Return ``(body_state, else_state, exc_state)`` to propagate
-        different states down the truthy (``node.body_succ``) and
-        falsey arms — used e.g. to model the ``if not x.pin(...):
-        raise`` idiom, where the resource is only held on the arm the
-        test did *not* take.  Return None to fall back to
-        :meth:`transfer` for this node.
-        """
-        return None
-
-
-def solve(cfg: CFG, analysis: Analysis) -> Dict[int, object]:
-    """Run ``analysis`` to fixpoint; returns node index -> in-state."""
-    in_states: Dict[int, object] = {cfg.entry: analysis.initial(cfg)}
-    work = deque([cfg.entry])
-    # Safety valve: lattices are finite, but a buggy non-monotone
-    # transfer must not hang the lint.
-    budget = (len(cfg.nodes) + 1) * 64
-
-    def _merge(succ: int, out: object) -> None:
-        known = in_states.get(succ)
-        if known is None:
-            in_states[succ] = out
-            work.append(succ)
-        else:
-            joined = analysis.join((known, out))
-            if joined != known:
-                in_states[succ] = joined
-                work.append(succ)
-
-    while work and budget:
-        budget -= 1
-        index = work.popleft()
-        state = in_states.get(index)
-        if state is None:
-            continue
-        node = cfg.nodes[index]
-        branch = (
-            analysis.transfer_branch(node, state)
-            if node.body_succ else None
-        )
-        if branch is not None:
-            body_state, else_state, exc = branch
-            body_set = set(node.body_succ)
-            for succ in node.succ:
-                _merge(succ, body_state if succ in body_set else else_state)
-            if exc is not None:
-                for succ in node.exc_succ:
-                    _merge(succ, exc)
-            continue
-        normal, exc = analysis.transfer(node, state)
-        for succs, out in ((node.succ, normal), (node.exc_succ, exc)):
-            if out is None:
-                continue
-            for succ in succs:
-                _merge(succ, out)
-    return in_states
-
-
-# ---------------------------------------------------------------------------
-# Interprocedural effect summaries
-# ---------------------------------------------------------------------------
 @dataclass
 class FunctionEffects:
     """What calling a function may do to its arguments / control flow.
@@ -143,64 +51,29 @@ class FunctionEffects:
     may_raise: Optional[Tuple[str, ...]] = None
 
 
-def _own_stmts(func: ast.AST):
-    """Statements of a function body, nested defs excluded."""
-    from ..program.cfg import _walk_own
-    for node in _walk_own(func):
-        if node is not func and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        yield node
+def handoff_arg(call: ast.Call) -> Optional[ast.Name]:
+    """The descriptor a call hands to a transport, if any.
 
-
-def _param_names(func: ast.AST) -> List[str]:
-    args = func.args
-    names = [a.arg for a in (
-        list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    )]
-    return names
-
-
-def _instrumentation_modules(table: SymbolTable) -> Tuple[str, ...]:
-    roots = {name.split(".")[0] for name in table.modules}
-    return tuple(
-        f"{root}.{sub}" for root in roots for sub in ("analysis", "obs")
-    )
-
-
-def _resolve_call_targets(
-    table: SymbolTable,
-    func: FunctionInfo,
-    call: ast.Call,
-) -> List[str]:
-    """Qualnames a call may dispatch to (best effort, virtual fan-out)."""
-    from ..program.symbols import infer_expr_type
-
-    targets: List[str] = []
-    callee = call.func
-    if isinstance(callee, ast.Name):
-        resolved = table.resolve_dotted(func.module, callee.id)
-        if resolved in table.functions:
-            targets.append(resolved)
-        elif resolved in table.classes:
-            init = table.resolve_method(resolved, "__init__")
-            if init:
-                targets.append(init)
-    elif isinstance(callee, ast.Attribute):
-        recv_type = infer_expr_type(table, func, {}, callee.value)
-        if recv_type:
-            for target in table.virtual_targets(recv_type, callee.attr):
-                targets.append(target)
-    return [t for t in targets if t in table.functions]
+    ``enqueue``/``send_to_nf``/``send_out`` always hand over their
+    first positional argument; plain ``send`` only in its unary form
+    (the bus's ``send(source, destination, message, ...)`` carries NF
+    names, not descriptors).
+    """
+    if not isinstance(call.func, ast.Attribute) or not call.args:
+        return None
+    first = call.args[0]
+    if not isinstance(first, ast.Name):
+        return None
+    name = call.func.attr
+    if name in DESCRIPTOR_HANDOFF_METHODS or (
+        name in SEND_METHODS and len(call.args) == 1
+    ):
+        return first
+    return None
 
 
 def compute_effects(
-    table: SymbolTable,
-    send_methods: Sequence[str] = ("send", "enqueue"),
-    handoff_methods: Sequence[str] = (
-        "enqueue", "send_to_nf", "send_out",
-    ),
+    table: SymbolTable, graph: Optional[CallGraph] = None
 ) -> Dict[str, FunctionEffects]:
     """Bounded-context interprocedural effect summaries for every
     function in the table.
@@ -209,27 +82,35 @@ def compute_effects(
     parameters, own sends of parameters, own raise/assert) seed the
     summaries, then call sites propagate callee effects onto the
     caller's parameters until nothing changes or the evidence chains
-    hit :data:`MAX_CHAIN_DEPTH`.  Functions in the instrumentation
-    packages (``analysis``/``obs``) contribute no effects — their calls
-    are ``is None``-gated no-ops on the hot path, and counting their
-    strict-mode raises would poison every instrumented function.
+    hit :data:`MAX_CHAIN_DEPTH`.  Call targets are the call graph's
+    (``graph``, built from ``table`` when not given).  Functions in the
+    instrumentation packages (``analysis``/``obs``) contribute no
+    effects — their calls are ``is None``-gated no-ops on the hot path,
+    and counting their strict-mode raises would poison every
+    instrumented function.
     """
-    send_set = frozenset(send_methods)
-    handoff_set = frozenset(handoff_methods)
-    stops = _instrumentation_modules(table)
+    if graph is None:
+        graph = build_call_graph(table)
+    stops = _stop_modules(table)
     effects: Dict[str, FunctionEffects] = {}
     param_index: Dict[str, Dict[str, int]] = {}
+    resolved_calls: Dict[str, List[ast.Call]] = {}
 
     # Pass 1: direct effects.
     for qualname, func in table.functions.items():
         eff = FunctionEffects(qualname)
         effects[qualname] = eff
-        if func.module.startswith(stops):
+        if in_modules(func.module, stops):
             continue
-        params = _param_names(func.node)
-        index = {name: i for i, name in enumerate(params)}
+        args = func.node.args
+        index = {
+            a.arg: i for i, a in enumerate(
+                args.posonlyargs + args.args + args.kwonlyargs
+            )
+        }
         param_index[qualname] = index
-        for stmt in _own_stmts(func.node):
+        calls = resolved_calls[qualname] = []
+        for stmt in walk_own(func.node):
             if isinstance(stmt, (ast.Raise, ast.Assert)):
                 if eff.may_raise is None:
                     kind = "raise" if isinstance(stmt, ast.Raise) else "assert"
@@ -257,28 +138,15 @@ def compute_effects(
                             (f"{qualname}:{stmt.lineno} writes .{attr}",),
                         )
             elif isinstance(stmt, ast.Call):
-                call = stmt
-                if not isinstance(call.func, ast.Attribute) or not call.args:
-                    continue
-                attr = call.func.attr
-                first = call.args[0]
-                # Descriptor handoff discipline: first positional arg
-                # of a handoff method, or the sole arg of a unary send
-                # (the bus's multi-arg send carries names, not
-                # descriptors).
-                is_handoff = attr in handoff_set or (
-                    attr in send_set and len(call.args) == 1
-                )
-                if (
-                    is_handoff
-                    and isinstance(first, ast.Name)
-                    and first.id in index
-                ):
+                if graph.targets(stmt):
+                    calls.append(stmt)
+                arg = handoff_arg(stmt)
+                if arg is not None and arg.id in index:
                     eff.sends_params.setdefault(
-                        index[first.id],
+                        index[arg.id],
                         (
-                            f"{qualname}:{call.lineno} "
-                            f"{attr}() hands over '{first.id}'",
+                            f"{qualname}:{stmt.lineno} "
+                            f"{stmt.func.attr}() hands over '{arg.id}'",
                         ),
                     )
 
@@ -286,17 +154,13 @@ def compute_effects(
     changed = True
     while changed:
         changed = False
-        for qualname, func in table.functions.items():
-            if func.module.startswith(stops):
-                continue
+        for qualname, calls in resolved_calls.items():
             eff = effects[qualname]
-            index = param_index.get(qualname, {})
-            for call in _own_stmts(func.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                for target in _resolve_call_targets(table, func, call):
-                    callee = effects.get(target)
-                    if callee is None or callee is eff:
+            index = param_index[qualname]
+            for call in calls:
+                for target in graph.targets(call):
+                    callee = effects[target]
+                    if callee is eff:
                         continue
                     changed |= _absorb(eff, callee, call, index, qualname)
     return effects
@@ -335,8 +199,3 @@ def _absorb(
                     own_map[own_pos] = chain
                     changed = True
     return changed
-
-
-def cfg_for(func: FunctionInfo) -> CFG:
-    """The CFG of one symbol-table function."""
-    return build_cfg(func.node, func.qualname)

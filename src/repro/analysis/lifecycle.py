@@ -41,13 +41,15 @@ Protocols
 mutation of a :data:`RULE_ATTRS` container must be published by a
 ``RuleEpoch.bump()``.  :func:`attr_mutations` is the one matcher for
 such writes, shared by the file-local rules R008/R009 and the
-interprocedural summaries behind W002.
+interprocedural epoch-bump flow behind W002.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple,
+)
 
 __all__ = [
     "DESCRIPTOR_STATES",
@@ -212,10 +214,13 @@ SHARED_ATTRS: FrozenSet[str] = RULE_ATTRS | frozenset({
 
 
 def attr_mutations(
-    tree: ast.AST, attrs: FrozenSet[str]
+    tree: ast.AST,
+    attrs: FrozenSet[str],
+    walk: Callable[[ast.AST], Iterable[ast.AST]] = ast.walk,
 ) -> Iterator[Tuple[ast.AST, str, Optional[str]]]:
     """Yield ``(node, attr, receiver)`` for each in-place mutation of an
-    attribute named in ``attrs`` anywhere under ``tree``.
+    attribute named in ``attrs`` among the nodes ``walk`` visits under
+    ``tree`` (every node by default).
 
     Covers rebinding (``x.attr = v``, ``x.attr += v``), item writes
     (``x.attr[k] = v``, ``del x.attr[k]``, ``x.attr[k] += v``) and
@@ -231,7 +236,7 @@ def attr_mutations(
             return target
         return None
 
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AugAssign):

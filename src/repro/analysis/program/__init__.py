@@ -6,24 +6,27 @@ Layers (each importable on its own):
   (with MRO), functions, import bindings, annotation-driven types.
 * :mod:`.callgraph` — call graph resolved through the symbol table;
   virtual calls fan out to overrides, unresolvable calls become
-  explicit *unknown edges*.
-* :mod:`.summaries` — per-function CFG summaries (allocations, yields,
-  shared reads/writes, epoch bumps) and the path-sensitive
-  interprocedural epoch-bump dataflow.
+  explicit *unknown edges*.  It is the one call resolver (every call
+  site's targets) and builds each function's CFG once per run.
 * :mod:`.cfg` — statement-level control-flow graphs with def/use
   sets, attribute-write and call-site records, and explicit exception
-  edges; the substrate the typestate engine
-  (:mod:`repro.analysis.dataflow`) solves over.
+  edges, plus the one worklist solver (:func:`~.cfg.solve`) that W002
+  and the typestate checks (:mod:`repro.analysis.dataflow`) run on.
+* :mod:`.summaries` — per-function allocation sites (W001) and the
+  interprocedural epoch-bump flow (W002), an :class:`~.cfg.Analysis`
+  over the CFGs.
 * :mod:`.checks` — the four semantic checks W001–W004 producing
   :class:`~repro.analysis.rules.Finding` objects with call-chain
   evidence.
 
 Nothing in here is imported by runtime code: the per-packet path pays
-zero import-time or runtime cost for the analyzer's existence.
+zero import-time or runtime cost for the analyzer's existence.  This
+package never imports :mod:`repro.analysis.dataflow`, which builds on
+it.
 """
 
 from .callgraph import CallEdge, CallGraph, UnknownEdge, build_call_graph
-from .cfg import CFG, AttrWrite, CallSite, CFGNode, build_cfg
+from .cfg import CFG, Analysis, AttrWrite, CallSite, CFGNode, build_cfg, solve
 from .checks import (
     DEFAULT_PACKET_ENTRIES,
     Budget,
@@ -49,6 +52,7 @@ from .symbols import (
 
 __all__ = [
     "AllocationSite",
+    "Analysis",
     "AttrWrite",
     "Budget",
     "CFG",
@@ -72,5 +76,6 @@ __all__ = [
     "build_cfg",
     "build_symbol_table",
     "module_name_for",
+    "solve",
     "summarize",
 ]

@@ -7,6 +7,12 @@ cannot pin down — callbacks, computed attributes, stdlib objects — are
 recorded as explicit **unknown edges** with their call site, never
 silently dropped: the checks downstream can then report "analysis
 stopped here" instead of pretending the path is clean.
+
+The graph is the one call resolver of the analysis: it keeps the
+targets of every ``ast.Call`` it resolved (:meth:`CallGraph.targets`),
+which the W002 epoch flow, the effect summaries and the typestate
+checks read instead of resolving calls again, and it hands out each
+function's CFG, built once per graph (:meth:`CallGraph.cfg`).
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..rules import dotted_name, in_modules, walk_own
+from .cfg import CFG, build_cfg
 from .symbols import (
     FunctionInfo,
     SymbolTable,
-    _dotted_name,
     _parameter_types,
     infer_expr_type,
 )
@@ -56,11 +63,26 @@ class CallGraph:
     unknown: List[UnknownEdge] = field(default_factory=list)
     _out: Dict[str, List[CallEdge]] = field(default_factory=dict)
     _in: Dict[str, List[CallEdge]] = field(default_factory=dict)
+    _targets: Dict[ast.Call, List[str]] = field(default_factory=dict)
+    _cfgs: Dict[str, CFG] = field(default_factory=dict)
 
-    def add(self, edge: CallEdge) -> None:
+    def add(self, edge: CallEdge, call: ast.Call) -> None:
         self.edges.append(edge)
         self._out.setdefault(edge.caller, []).append(edge)
         self._in.setdefault(edge.callee, []).append(edge)
+        self._targets.setdefault(call, []).append(edge.callee)
+
+    def targets(self, call: ast.Call) -> Sequence[str]:
+        """Qualnames one call site may dispatch to (empty if unknown)."""
+        return self._targets.get(call, ())
+
+    def cfg(self, qualname: str) -> CFG:
+        """The function's control-flow graph, built once per graph."""
+        cfg = self._cfgs.get(qualname)
+        if cfg is None:
+            cfg = build_cfg(self.table.functions[qualname].node, qualname)
+            self._cfgs[qualname] = cfg
+        return cfg
 
     def callees(self, qualname: str) -> List[CallEdge]:
         return self._out.get(qualname, [])
@@ -109,12 +131,7 @@ class CallGraph:
                 if callee in chains:
                     continue
                 info = self.table.functions.get(callee)
-                if info is None:
-                    continue
-                if any(
-                    info.module == stop or info.module.startswith(stop + ".")
-                    for stop in stop_modules
-                ):
+                if info is None or in_modules(info.module, stop_modules):
                     continue
                 chains[callee] = chains[current] + (callee,)
                 queue.append(callee)
@@ -204,18 +221,6 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
     return graph
 
 
-def _iter_own_calls(func: FunctionInfo) -> Iterator[ast.Call]:
-    """Call nodes in the function body, excluding nested defs."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func.node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 #: Builtin callables that never resolve to project code.
 _BUILTINS = frozenset({
     "len", "range", "isinstance", "getattr", "setattr", "hasattr", "max",
@@ -247,8 +252,9 @@ def _resolve_function_calls(graph: CallGraph, func: FunctionInfo) -> None:
             if inferred:
                 local_types[node.target.id] = inferred
 
-    for call in _iter_own_calls(func):
-        _resolve_call(graph, func, local_types, call)
+    for call in walk_own(func.node):
+        if isinstance(call, ast.Call):
+            _resolve_call(graph, func, local_types, call)
 
 
 def _resolve_call(
@@ -261,17 +267,19 @@ def _resolve_call(
     target = call.func
     lineno = call.lineno
 
-    dotted = _dotted_name(target)
+    dotted = dotted_name(target)
     if dotted is not None:
         resolved = table.resolve_dotted(func.module, dotted)
         if resolved in table.functions:
-            graph.add(CallEdge(func.qualname, resolved, lineno, "direct"))
+            graph.add(
+                CallEdge(func.qualname, resolved, lineno, "direct"), call
+            )
             return
         if resolved in table.classes:
             init = table.resolve_method(resolved, "__init__")
             if init is not None:
                 graph.add(
-                    CallEdge(func.qualname, init, lineno, "constructor")
+                    CallEdge(func.qualname, init, lineno, "constructor"), call
                 )
             return
         head = dotted.split(".")[0]
@@ -288,7 +296,9 @@ def _resolve_call(
             if targets:
                 kind = "method" if len(targets) == 1 else "virtual"
                 for callee in targets:
-                    graph.add(CallEdge(func.qualname, callee, lineno, kind))
+                    graph.add(
+                        CallEdge(func.qualname, callee, lineno, kind), call
+                    )
                 return
             graph.unknown.append(
                 UnknownEdge(

@@ -1,10 +1,11 @@
-"""Statement-level control-flow graphs with def/use and exception edges.
+"""Statement-level control-flow graphs and the worklist solver over them.
 
-Grows the PR 5 function summaries into a real CFG so the dataflow
-engine (:mod:`repro.analysis.dataflow`) can run worklist fixpoints per
-function.  Each :class:`CFGNode` covers one statement (compound
-statements contribute a *header* node for their test/iterator plus
-nodes for their bodies) and carries:
+Every path-sensitive check runs on these graphs through one engine,
+:func:`solve`: the W002 epoch-bump flow (:mod:`.summaries`) and the
+typestate checks W005–W007 (:mod:`repro.analysis.dataflow`).  Each
+:class:`CFGNode` covers one statement (compound statements contribute
+a *header* node for their test/iterator plus nodes for their bodies)
+and carries:
 
 * ``defs`` — local names (re)bound by the statement,
 * ``uses`` — local names read,
@@ -30,10 +31,16 @@ keeps releases in ``finally`` visible on every route out of the block.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["AttrWrite", "CallSite", "CFGNode", "CFG", "build_cfg"]
+from ..rules import NESTED_SCOPES, dotted_name, walk_own
+
+__all__ = [
+    "AttrWrite", "CallSite", "CFGNode", "CFG", "build_cfg",
+    "Analysis", "solve",
+]
 
 
 @dataclass(frozen=True)
@@ -133,39 +140,12 @@ class CFG:
 # ---------------------------------------------------------------------------
 # Expression walkers (nested function/class bodies are opaque)
 # ---------------------------------------------------------------------------
-_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-
-
-def _walk_own(node: ast.AST):
-    """Yield sub-nodes without descending into nested def/class/lambda."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, _NESTED):
-                continue
-            stack.append(child)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _uses_of(*exprs: Optional[ast.AST]) -> Tuple[str, ...]:
     names: List[str] = []
     for expr in exprs:
         if expr is None:
             continue
-        for sub in _walk_own(expr):
+        for sub in walk_own(expr):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 names.append(sub.id)
     return tuple(dict.fromkeys(names))
@@ -176,13 +156,13 @@ def _calls_of(*exprs: Optional[ast.AST]) -> Tuple[CallSite, ...]:
     for expr in exprs:
         if expr is None:
             continue
-        for sub in _walk_own(expr):
+        for sub in walk_own(expr):
             if not isinstance(sub, ast.Call):
                 continue
             func = sub.func
             if isinstance(func, ast.Attribute):
                 sites.append(CallSite(
-                    receiver=_dotted(func.value),
+                    receiver=dotted_name(func.value),
                     name=func.attr,
                     args=tuple(sub.args),
                     lineno=sub.lineno,
@@ -211,11 +191,11 @@ def _target_defs(
     elif isinstance(target, ast.Starred):
         _target_defs(target.value, defs, writes)
     elif isinstance(target, ast.Attribute):
-        receiver = _dotted(target.value)
+        receiver = dotted_name(target.value)
         if receiver is not None:
             writes.append(AttrWrite(receiver, target.attr, target.lineno))
     elif isinstance(target, ast.Subscript):
-        receiver = _dotted(target.value)
+        receiver = dotted_name(target.value)
         if receiver is not None:
             writes.append(AttrWrite(receiver, "[]", target.lineno))
 
@@ -338,7 +318,7 @@ class _Builder:
             self.wire(preds, node)
             node.exc_succ.append(self.exc_target)
             return []
-        if isinstance(stmt, _NESTED[:3]):  # nested def/class: opaque bind
+        if isinstance(stmt, NESTED_SCOPES):  # nested def/class: opaque bind
             node = self.new(
                 f"def {getattr(stmt, 'name', '?')}",
                 stmt.lineno,
@@ -500,18 +480,105 @@ def _is_catch_all(handler: ast.ExceptHandler) -> bool:
         return True
     names = []
     if isinstance(handler.type, ast.Tuple):
-        names = [_dotted(e) for e in handler.type.elts]
+        names = [dotted_name(e) for e in handler.type.elts]
     else:
-        names = [_dotted(handler.type)]
+        names = [dotted_name(handler.type)]
     return any(n in ("Exception", "BaseException") for n in names)
 
 
 def _handler_label(handler: ast.ExceptHandler) -> str:
     if handler.type is None:
         return "*"
-    return _dotted(handler.type) or "?"
+    return dotted_name(handler.type) or "?"
 
 
 def build_cfg(func: ast.AST, qualname: str = "<function>") -> CFG:
     """Build the CFG of one FunctionDef/AsyncFunctionDef."""
     return _Builder(qualname).build(func)
+
+
+# ---------------------------------------------------------------------------
+# Worklist solver
+# ---------------------------------------------------------------------------
+class Analysis:
+    """Interface a forward dataflow analysis implements for :func:`solve`."""
+
+    def initial(self, cfg: CFG) -> object:
+        raise NotImplementedError
+
+    def join(self, states: Sequence[object]) -> object:
+        raise NotImplementedError
+
+    def transfer(
+        self, node: CFGNode, state: object
+    ) -> Tuple[object, Optional[object]]:
+        """Out-states ``(normal, exceptional)`` of one node."""
+        raise NotImplementedError
+
+    def transfer_branch(
+        self, node: CFGNode, state: object
+    ) -> Optional[Tuple[object, object, Optional[object]]]:
+        """Branch-aware transfer for if/loop headers.
+
+        Return ``(body_state, else_state, exc_state)`` to propagate
+        different states down the truthy (``node.body_succ``) and
+        falsey arms — used e.g. to model the ``if not x.pin(...):
+        raise`` idiom, where the resource is only held on the arm the
+        test did *not* take.  Return None to fall back to
+        :meth:`transfer` for this node.
+        """
+        return None
+
+
+def solve(cfg: CFG, analysis: Analysis) -> Dict[int, object]:
+    """Run ``analysis`` to fixpoint; returns node index -> in-state.
+
+    Transfer functions return two out-states, ``(normal, exc)``: the
+    second flows along the node's exception edges, and None stops
+    propagation along them (how an analysis ignores raising edges it
+    considers infeasible).
+    """
+    in_states: Dict[int, object] = {cfg.entry: analysis.initial(cfg)}
+    work = deque([cfg.entry])
+    # Safety valve: lattices are finite, but a buggy non-monotone
+    # transfer must not hang the lint.
+    budget = (len(cfg.nodes) + 1) * 64
+
+    def _merge(succ: int, out: object) -> None:
+        known = in_states.get(succ)
+        if known is None:
+            in_states[succ] = out
+            work.append(succ)
+        else:
+            joined = analysis.join((known, out))
+            if joined != known:
+                in_states[succ] = joined
+                work.append(succ)
+
+    while work and budget:
+        budget -= 1
+        index = work.popleft()
+        state = in_states.get(index)
+        if state is None:
+            continue
+        node = cfg.nodes[index]
+        branch = (
+            analysis.transfer_branch(node, state)
+            if node.body_succ else None
+        )
+        if branch is not None:
+            body_state, else_state, exc = branch
+            body_set = set(node.body_succ)
+            for succ in node.succ:
+                _merge(succ, body_state if succ in body_set else else_state)
+            if exc is not None:
+                for succ in node.exc_succ:
+                    _merge(succ, exc)
+            continue
+        normal, exc = analysis.transfer(node, state)
+        for succs, out in ((node.succ, normal), (node.exc_succ, exc)):
+            if out is None:
+                continue
+            for succ in succs:
+                _merge(succ, out)
+    return in_states

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rules import FileContext, Finding, SourceFile, as_contexts
+from ..rules import FileContext, Finding, SourceFile, as_contexts, in_modules
 from .callgraph import CallGraph, build_call_graph
 from .summaries import (
     FunctionSummary,
@@ -203,16 +203,16 @@ def analyze_program(
     files: Sequence[SourceFile],
     budget: Optional[Budget] = None,
     entry_points: Optional[Sequence[str]] = None,
-    table: Optional[SymbolTable] = None,
+    graph: Optional[CallGraph] = None,
 ) -> ProgramReport:
     """Run the engine and all four checks over ``(path, source)`` pairs
-    or parsed contexts.  ``table``, when given, must be the symbol
-    table of exactly these files; the analysis command shares one between this
-    and the typestate checks."""
+    or parsed contexts.  ``graph``, when given, must be the call graph
+    of exactly these files; the analysis command shares one (with its
+    symbol table and CFGs) between this and the typestate checks."""
     contexts = as_contexts(files)
-    if table is None:
-        table = build_symbol_table(contexts)
-    graph = build_call_graph(table)
+    if graph is None:
+        graph = build_call_graph(build_symbol_table(contexts))
+    table = graph.table
     summaries = summarize(table)
     budget = budget or Budget()
 
@@ -445,7 +445,7 @@ def _atomic_section_findings(
         edge.callee
         for edge in graph.callees(qualname)
         if body_lines[0] <= edge.lineno <= body_lines[1]
-        and not _in_modules(table, edge.callee, stop)
+        and not in_modules(table.functions[edge.callee].module, stop)
     ]
     chains = graph.reachable(seeds, stop_modules=stop)
     for callee, chain in sorted(chains.items()):
@@ -467,18 +467,6 @@ def _atomic_section_findings(
                 )
             )
     return findings
-
-
-def _in_modules(
-    table: SymbolTable, qualname: str, prefixes: Sequence[str]
-) -> bool:
-    info = table.functions.get(qualname)
-    if info is None:
-        return False
-    return any(
-        info.module == prefix or info.module.startswith(prefix + ".")
-        for prefix in prefixes
-    )
 
 
 def _body_line_range(stmt: ast.AST) -> Tuple[int, int]:
@@ -503,15 +491,13 @@ def _check_w004(table: SymbolTable) -> List[ProgramFinding]:
         sim_pkg = f"{root}.sim"
         up_pkg = f"{root}.up"
         cp_pkg = f"{root}.cp"
-        in_sim = name == sim_pkg or name.startswith(sim_pkg + ".")
-        in_up = name == up_pkg or name.startswith(up_pkg + ".")
-        in_cp = name == cp_pkg or name.startswith(cp_pkg + ".")
+        in_sim = in_modules(name, [sim_pkg])
+        in_up = in_modules(name, [up_pkg])
+        in_cp = in_modules(name, [cp_pkg])
         for target, lineno in module.import_edges:
             if target.split(".")[0] != root:
                 continue
-            if in_sim and not (
-                target == sim_pkg or target.startswith(sim_pkg + ".")
-            ):
+            if in_sim and not in_modules(target, [sim_pkg]):
                 findings.append(
                     ProgramFinding(
                         path=module.path,
@@ -535,10 +521,8 @@ def _check_w004(table: SymbolTable) -> List[ProgramFinding]:
                 findings.append(
                     _layer_finding(module, lineno, name, target, "cp", "up")
                 )
-            if in_up and any(
-                target == f"{root}.{sub}"
-                or target.startswith(f"{root}.{sub}.")
-                for sub in _INSTRUMENTATION
+            if in_up and in_modules(
+                target, [f"{root}.{sub}" for sub in _INSTRUMENTATION]
             ):
                 findings.append(
                     ProgramFinding(

@@ -1,35 +1,38 @@
-"""Per-function CFG summaries for the semantic checks.
+"""Per-function facts for the whole-program checks.
 
-For every function the analysis records:
-
-* **allocation sites** — object construction, dict/list/set/tuple/str
+* **Allocation sites** — object construction, dict/list/set/tuple/str
   building, comprehensions, generator creation: the costs W001 budgets
-  on the per-packet path;
-* **rule-container mutations** and **epoch bumps**, fed through a
-  path-sensitive walk (below) so W002 can tell "mutated then bumped on
-  every path" from "bumped only on the happy path";
-* **yield points**, for W003's atomic-section check.
-
-The W002 walk is a small abstract interpretation over the statement
-structure: the state is the set of not-yet-published mutations; ``if``
-joins branches by union (pending on *some* path is pending), loops are
-approximated by zero-or-one iterations, a ``bump()`` (direct, or a call
-to a function that bumps on all its paths) discharges everything, and a
-``yield`` is an event-loop boundary where pending mutations become
-violations.  Function summaries propagate through the call graph to a
-fixpoint, so a mutation in a helper three frames down is charged to the
-public operation that fails to publish it.
+  on the per-packet path (:func:`summarize`).
+* **The W002 epoch-bump flow** (:func:`analyze_epoch_flow`) — an
+  :class:`~.cfg.Analysis` solved by :func:`~.cfg.solve` over each
+  function's CFG.  The state is the set of not-yet-published
+  rule-container mutations plus whether every path so far bumped.
+  Joins take the union of the pending mutations and the AND of
+  "bumped"; loops iterate to the fixpoint.  A ``bump()`` (direct, or
+  a call to a function that bumps on all its paths) discharges
+  everything, and a ``yield`` is an event-loop boundary where pending
+  mutations become violations.  A function exits by ``return``, by
+  falling off its end, or by an explicit ``raise``; the exception
+  edges of calls feed only ``except`` handlers.  Nested def/lambda
+  bodies are opaque, ``__init__`` mutations are exempt, and call
+  targets come from the call graph.  Function summaries propagate
+  through the call graph to a fixpoint, so a mutation in a helper
+  three frames down is charged to the public operation that fails to
+  publish it.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..lifecycle import RULE_ATTRS, SHARED_ATTRS, attr_mutations
+from ..lifecycle import RULE_ATTRS, attr_mutations
+from ..rules import NESTED_SCOPES, dotted_name, walk_own
 from .callgraph import CallGraph
-from .symbols import FunctionInfo, SymbolTable, _dotted_name
+from .cfg import CFG, Analysis, CFGNode, solve
+from .symbols import FunctionInfo, SymbolTable
 
 __all__ = [
     "AllocationSite",
@@ -64,34 +67,10 @@ class MutationSite:
 
 @dataclass
 class FunctionSummary:
-    """Everything the W-checks need to know about one function."""
+    """What W001 needs to know about one function."""
 
     qualname: str
     allocations: List[AllocationSite] = field(default_factory=list)
-    yields: List[int] = field(default_factory=list)  # line numbers
-    shared_reads: Set[str] = field(default_factory=set)
-    shared_writes: Set[str] = field(default_factory=set)
-    rule_mutations: List[MutationSite] = field(default_factory=list)
-    has_direct_bump: bool = False
-
-
-def _own_nodes(func_node: ast.AST):
-    """Nodes of the function body, excluding nested function bodies."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func_node))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_bump_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "bump"
-    )
 
 
 _DISPLAY_KINDS = (
@@ -116,13 +95,13 @@ def _collect_allocations(
 ) -> List[AllocationSite]:
     sites: List[AllocationSite] = []
     swap_values: Set[int] = set()
-    for node in _own_nodes(func.node):
+    for node in walk_own(func.node):
         # ``a, b = x, y`` compiles to register moves, not a tuple build.
         if isinstance(node, ast.Assign) and isinstance(
             node.value, ast.Tuple
         ) and any(isinstance(t, ast.Tuple) for t in node.targets):
             swap_values.add(id(node.value))
-    for node in _own_nodes(func.node):
+    for node in walk_own(func.node):
         for node_type, kind in _DISPLAY_KINDS:
             if isinstance(node, node_type):
                 sites.append(AllocationSite(node.lineno, kind))
@@ -136,7 +115,7 @@ def _collect_allocations(
                         AllocationSite(node.lineno, "tuple-display")
                     )
             elif isinstance(node, ast.Call):
-                dotted = _dotted_name(node.func)
+                dotted = dotted_name(node.func)
                 if dotted is None:
                     continue
                 if dotted in _CONSTRUCTOR_BUILTINS:
@@ -172,28 +151,13 @@ def _collect_allocations(
 def summarize(
     table: SymbolTable,
 ) -> Dict[str, FunctionSummary]:
-    """One pass building the flat (path-insensitive) facts."""
-    summaries: Dict[str, FunctionSummary] = {}
-    for qualname, func in table.functions.items():
-        summary = FunctionSummary(qualname=qualname)
-        summary.allocations = _collect_allocations(table, func)
-        for node in _own_nodes(func.node):
-            if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-                summary.yields.append(node.lineno)
-            elif _is_bump_call(node):
-                summary.has_direct_bump = True
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ) and node.attr in SHARED_ATTRS:
-                summary.shared_reads.add(node.attr)
-        for node, attr, _ in attr_mutations(func.node, SHARED_ATTRS):
-            summary.shared_writes.add(attr)
-            if attr in RULE_ATTRS:
-                summary.rule_mutations.append(
-                    MutationSite(qualname, attr, node.lineno)
-                )
-        summaries[qualname] = summary
-    return summaries
+    """The allocation sites of every function."""
+    return {
+        qualname: FunctionSummary(
+            qualname, _collect_allocations(table, func)
+        )
+        for qualname, func in table.functions.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +168,24 @@ def summarize(
 #: (innermost first), used as the finding's evidence.
 Pending = Tuple[MutationSite, Tuple[str, ...]]
 
+#: Flow state at a program point: (pending mutations, bumped on every
+#: path so far).
+_State = Tuple[FrozenSet[Pending], bool]
 
-@dataclass
-class _FuncEpochSummary:
-    """Fixpoint state of one function for the epoch-flow analysis."""
+#: What one CFG node does to the flow, in evaluation order:
+#: ``("bump", line, ())``, ``("call", line, callees)`` or
+#: ``("yield", line, ())``; its own mutations apply after them.
+_Event = Tuple[str, int, Sequence[str]]
 
-    #: Mutations possibly unpublished when the function returns.
-    pending_at_exit: Tuple[Pending, ...] = ()
-    #: True when every path through the function executes a bump.
-    bumps_all_paths: bool = False
+#: CFG node index -> (events, own mutations), for nodes that have any.
+_Steps = Dict[int, Tuple[Tuple[_Event, ...], Tuple[MutationSite, ...]]]
 
 
 @dataclass
 class EpochFlow:
     """Result of the interprocedural epoch-bump analysis."""
 
-    #: (function, pending) at a yield — published too late no matter
+    #: (function, yield line, pending) — published too late no matter
     #: what the caller does.
     yield_violations: List[Tuple[str, int, Pending]] = field(
         default_factory=list
@@ -232,202 +198,177 @@ class EpochFlow:
     bumps_all_paths: Dict[str, bool] = field(default_factory=dict)
 
 
-@dataclass
-class _PathState:
-    pending: Tuple[Pending, ...]
-    bumped: bool  # a bump happened on this path
+def _evaluated(node: CFGNode) -> Tuple[ast.AST, ...]:
+    """The code a CFG node runs itself: a header's test, iterator or
+    context managers, a simple statement whole, a nested def nothing."""
+    stmt = node.stmt
+    if isinstance(stmt, (ast.If, ast.While)):
+        return (stmt.test,)
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return (stmt.iter,)
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return tuple(item.context_expr for item in stmt.items)
+    if stmt is None or isinstance(stmt, NESTED_SCOPES):
+        return ()
+    return (stmt,)
 
 
-def _join(states: Sequence[_PathState]) -> _PathState:
-    pendings: List[Pending] = []
-    seen: Set[Tuple[str, str, int]] = set()
-    for state in states:
-        for site, chain in state.pending:
-            key = (site.qualname, site.attr, site.lineno)
-            if key not in seen:
-                seen.add(key)
-                pendings.append((site, chain))
-    return _PathState(
-        pending=tuple(pendings),
-        bumped=all(state.bumped for state in states) if states else False,
-    )
+def _node_steps(graph: CallGraph, func: FunctionInfo, cfg: CFG) -> _Steps:
+    """Events and mutations of every CFG node that has any."""
+    exempt = func.name == "__init__"
+    steps: _Steps = {}
+    for node in cfg.nodes:
+        events: List[_Event] = []
+        mutations: List[MutationSite] = []
+        for root in _evaluated(node):
+            for sub in walk_own(root):
+                if isinstance(sub, ast.Call):
+                    if (
+                        isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "bump"
+                    ):
+                        events.append(("bump", sub.lineno, ()))
+                    elif graph.targets(sub):
+                        events.append(
+                            ("call", sub.lineno, graph.targets(sub))
+                        )
+                elif isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Await)):
+                    events.append(("yield", sub.lineno, ()))
+            if not exempt:
+                mutations.extend(
+                    MutationSite(func.qualname, attr, sub.lineno)
+                    for sub, attr, _ in attr_mutations(
+                        root, RULE_ATTRS, walk=walk_own
+                    )
+                )
+        if events or mutations:
+            steps[node.index] = (tuple(events), tuple(mutations))
+    return steps
 
 
-class _EpochWalker:
-    """Path-approximating walk of one function body."""
+class _EpochAnalysis(Analysis):
+    """The W002 flow through one function, given callee summaries."""
 
-    def __init__(
-        self,
-        func: FunctionInfo,
-        graph: CallGraph,
-        summaries: Dict[str, _FuncEpochSummary],
-        record_yields: Optional[List[Tuple[str, int, Pending]]] = None,
-    ) -> None:
-        self.func = func
-        self.graph = graph
-        self.summaries = summaries
-        self.record_yields = record_yields
-        self.exits: List[_PathState] = []
-        #: callee edges indexed by line for the statement transfer.
-        self.calls_by_line: Dict[int, List[str]] = {}
-        for edge in graph.callees(func.qualname):
-            self.calls_by_line.setdefault(edge.lineno, []).append(edge.callee)
+    def __init__(self, qualname: str, steps: _Steps, flow: EpochFlow) -> None:
+        self.qualname = qualname
+        self.steps = steps
+        self.flow = flow
+        #: Where :meth:`transfer` reports pendings met at a yield.
+        self.record: Optional[List[Tuple[str, int, Pending]]] = None
 
-    def run(self) -> _FuncEpochSummary:
-        state = self.flow(self.func.node.body, _PathState((), False))
-        if state is not None:
-            self.exits.append(state)
-        final = _join(self.exits)
-        return _FuncEpochSummary(
-            pending_at_exit=final.pending,
-            bumps_all_paths=final.bumped,
+    def initial(self, cfg: CFG) -> _State:
+        return frozenset(), False
+
+    def join(self, states: Sequence[_State]) -> _State:
+        return (
+            frozenset().union(*(pending for pending, _ in states)),
+            all(bumped for _, bumped in states),
         )
 
-    # -- statement dispatch ---------------------------------------------
-    def flow(
-        self, stmts: Sequence[ast.stmt], state: _PathState
-    ) -> Optional[_PathState]:
-        """Run the statements; None when every path exited."""
-        current: Optional[_PathState] = state
-        for stmt in stmts:
-            if current is None:
-                return None
-            current = self.step(stmt, current)
-        return current
-
-    def step(self, stmt: ast.stmt, state: _PathState) -> Optional[_PathState]:
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            state = self.transfer(stmt, state)
-            self.exits.append(state)
-            return None
-        if isinstance(stmt, ast.If):
-            entry = self.transfer(stmt.test, state)
-            branches = [
-                self.flow(stmt.body, entry),
-                self.flow(stmt.orelse, entry),
-            ]
-            live = [b for b in branches if b is not None]
-            return _join(live) if live else None
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            entry = self.transfer(stmt.iter, state)
-            once = self.flow(stmt.body, entry)
-            after = [entry] + ([once] if once is not None else [])
-            joined = _join(after)
-            tail = self.flow(stmt.orelse, joined)
-            return tail
-        if isinstance(stmt, ast.While):
-            entry = self.transfer(stmt.test, state)
-            once = self.flow(stmt.body, entry)
-            after = [entry] + ([once] if once is not None else [])
-            joined = _join(after)
-            return self.flow(stmt.orelse, joined)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            entry = state
-            for item in stmt.items:
-                entry = self.transfer(item.context_expr, entry)
-            return self.flow(stmt.body, entry)
-        if isinstance(stmt, ast.Try):
-            body_out = self.flow(stmt.body, state)
-            outs: List[_PathState] = []
-            if body_out is not None:
-                outs.append(body_out)
-            # A handler may run after an arbitrary prefix of the body:
-            # approximate its entry as entry-state ∪ after-body.
-            handler_entry = _join(
-                [state] + ([body_out] if body_out is not None else [])
-            )
-            for handler in stmt.handlers:
-                handler_out = self.flow(handler.body, handler_entry)
-                if handler_out is not None:
-                    outs.append(handler_out)
-            merged: Optional[_PathState] = _join(outs) if outs else None
-            if stmt.finalbody:
-                if merged is None:
-                    merged = handler_entry
-                merged = self.flow(stmt.finalbody, merged)
-            return merged
-        return self.transfer(stmt, state)
-
-    # -- expression/statement transfer -----------------------------------
-    def transfer(self, node: ast.AST, state: _PathState) -> _PathState:
-        pending = list(state.pending)
-        bumped = state.bumped
-        exempt = self.func.name == "__init__"
-        for child in ast.walk(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if _is_bump_call(child):
-                pending = []
-                bumped = True
-            elif isinstance(child, ast.Call):
-                lineno = child.lineno
-                for callee in self.calls_by_line.get(lineno, ()):
-                    summary = self.summaries.get(callee)
-                    if summary is None:
-                        continue
-                    if summary.bumps_all_paths:
-                        pending = []
-                        bumped = True
-                    for site, chain in summary.pending_at_exit:
-                        pending.append(
-                            (site, (f"{self.func.qualname}:{lineno}",) + chain)
-                        )
-            elif isinstance(child, (ast.Yield, ast.YieldFrom, ast.Await)):
-                if pending and self.record_yields is not None:
-                    for entry in pending:
-                        self.record_yields.append(
-                            (self.func.qualname, child.lineno, entry)
-                        )
+    def transfer(self, node: CFGNode, state: _State):
+        step = self.steps.get(node.index)
+        if step is None:
+            return state, state
+        events, mutations = step
+        pending, bumped = state
+        for kind, lineno, callees in events:
+            if kind == "bump":
+                pending, bumped = frozenset(), True
+            elif kind == "yield":
+                if self.record is not None:
+                    self.record.extend(
+                        (self.qualname, lineno, entry)
+                        for entry in _dedupe(pending)
+                    )
                 # Reported here; do not double-report at the caller.
-                pending = []
-        if not exempt:
-            for child, attr, _ in attr_mutations(node, RULE_ATTRS):
-                pending.append(
-                    (MutationSite(self.func.qualname, attr, child.lineno), ())
-                )
-        return _PathState(pending=tuple(pending), bumped=bumped)
+                pending = frozenset()
+            else:
+                for callee in callees:
+                    if self.flow.bumps_all_paths.get(callee):
+                        pending, bumped = frozenset(), True
+                    pending = pending.union(
+                        (site, (f"{self.qualname}:{lineno}",) + chain)
+                        for site, chain in self.flow.pending_at_exit.get(
+                            callee, ()
+                        )
+                    )
+        if mutations:
+            pending = pending.union((site, ()) for site in mutations)
+        out = (pending, bumped)
+        return out, out
+
+    def at_exit(
+        self, cfg: CFG, states: Dict[int, _State]
+    ) -> Tuple[Tuple[Pending, ...], bool]:
+        """Pendings open on some exit, and whether every exit bumped."""
+        exits = [states[cfg.exit]] if cfg.exit in states else []
+        exits.extend(
+            self.transfer(node, states[node.index])[0]
+            for node in cfg.nodes
+            if isinstance(node.stmt, ast.Raise) and node.index in states
+        )
+        if not exits:
+            return (), False
+        pending, bumped = self.join(exits)
+        return _dedupe(pending), bumped
+
+
+def _key(pending: Pending) -> Tuple[str, str, int]:
+    site = pending[0]
+    return (site.qualname, site.attr, site.lineno)
+
+
+def _dedupe(pending: FrozenSet[Pending]) -> Tuple[Pending, ...]:
+    """One pending per site, with its shortest chain."""
+    best: Dict[Tuple[str, str, int], Pending] = {}
+    for entry in sorted(pending, key=lambda p: (_key(p), len(p[1]), p[1])):
+        best.setdefault(_key(entry), entry)
+    return tuple(best.values())
 
 
 def analyze_epoch_flow(graph: CallGraph) -> EpochFlow:
-    """Fixpoint of the per-function epoch summaries over the graph."""
+    """Fixpoint of the per-function epoch summaries over the graph.
+
+    A function is solved again when a callee's summary changes.  Bump
+    flags only flip once, and between flips the pendings only grow, so
+    the worklist drains; the budget bounds pathological recursion.
+    """
     table = graph.table
-    summaries: Dict[str, _FuncEpochSummary] = {
-        qualname: _FuncEpochSummary() for qualname in table.functions
-    }
-    # Iterate to a fixpoint (monotone: pendings only grow, bump flags
-    # only flip once), bounded for safety on pathological recursion.
-    for _ in range(10):
-        changed = False
-        for qualname, func in table.functions.items():
-            walker = _EpochWalker(func, graph, summaries)
-            updated = walker.run()
-            previous = summaries[qualname]
-            if (
-                _pending_keys(updated.pending_at_exit)
-                != _pending_keys(previous.pending_at_exit)
-                or updated.bumps_all_paths != previous.bumps_all_paths
-            ):
-                summaries[qualname] = updated
-                changed = True
-        if not changed:
-            break
-
     flow = EpochFlow()
+    steps: Dict[str, _Steps] = {}
     for qualname, func in table.functions.items():
-        walker = _EpochWalker(
-            func, graph, summaries, record_yields=flow.yield_violations
-        )
-        final = walker.run()
-        flow.pending_at_exit[qualname] = final.pending_at_exit
-        flow.bumps_all_paths[qualname] = final.bumps_all_paths
+        own = _node_steps(graph, func, graph.cfg(qualname))
+        if own:
+            steps[qualname] = own
+    solved: Dict[str, Tuple[_EpochAnalysis, Dict[int, _State]]] = {}
+    work = deque(steps)
+    queued: Set[str] = set(work)
+    budget = 10 * len(table.functions)
+    while work and budget:
+        budget -= 1
+        qualname = work.popleft()
+        queued.discard(qualname)
+        cfg = graph.cfg(qualname)
+        analysis = _EpochAnalysis(qualname, steps[qualname], flow)
+        states = solve(cfg, analysis)
+        solved[qualname] = (analysis, states)
+        pending, bumped = analysis.at_exit(cfg, states)
+        if {_key(p) for p in pending} == {
+            _key(p) for p in flow.pending_at_exit.get(qualname, ())
+        } and bumped == flow.bumps_all_paths.get(qualname, False):
+            continue
+        flow.pending_at_exit[qualname] = pending
+        flow.bumps_all_paths[qualname] = bumped
+        for edge in graph.callers(qualname):
+            if edge.caller in steps and edge.caller not in queued:
+                queued.add(edge.caller)
+                work.append(edge.caller)
+
+    # Yields are judged once, on the final states.
+    for qualname, (analysis, states) in solved.items():
+        analysis.record = flow.yield_violations
+        nodes = graph.cfg(qualname).nodes
+        for index, (events, _) in analysis.steps.items():
+            if index in states and any(e[0] == "yield" for e in events):
+                analysis.transfer(nodes[index], states[index])
     return flow
-
-
-def _pending_keys(
-    pendings: Tuple[Pending, ...]
-) -> FrozenSet[Tuple[str, str, int]]:
-    return frozenset(
-        (site.qualname, site.attr, site.lineno) for site, _ in pendings
-    )

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rules import SourceFile, as_contexts
+from ..rules import SourceFile, as_contexts, dotted_name, walk_own
 
 __all__ = [
     "FunctionInfo",
@@ -213,11 +213,11 @@ class SymbolTable:
                 return None
             return self.annotation_type(module, parsed)
         if isinstance(annotation, ast.Subscript):
-            head = _dotted_name(annotation.value)
+            head = dotted_name(annotation.value)
             if head and head.split(".")[-1] == "Optional":
                 return self.annotation_type(module, annotation.slice)
             return None
-        dotted = _dotted_name(annotation)
+        dotted = dotted_name(annotation)
         if dotted is None:
             return None
         resolved = self.resolve_dotted(module, dotted)
@@ -226,22 +226,11 @@ class SymbolTable:
         return None
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
     names: List[str] = []
     for decorator in getattr(node, "decorator_list", ()):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        dotted = _dotted_name(target)
+        dotted = dotted_name(target)
         if dotted:
             names.append(dotted)
     return tuple(names)
@@ -249,28 +238,10 @@ def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
 
 def _contains_yield(node: ast.AST) -> bool:
     """Yield/YieldFrom directly in this function (not nested defs)."""
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            if _owning_function(node, child):
-                return True
-    return False
-
-
-def _owning_function(func: ast.AST, target: ast.AST) -> bool:
-    """True when ``target`` belongs to ``func`` itself, not a nested
-    function/lambda inside it (one stackless re-walk)."""
-    stack: List[Tuple[ast.AST, bool]] = [(child, True) for child in
-                                         ast.iter_child_nodes(func)]
-    while stack:
-        node, direct = stack.pop()
-        if node is target:
-            return direct
-        nested = isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        )
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, direct and not nested))
-    return False
+    return any(
+        isinstance(child, (ast.Yield, ast.YieldFrom))
+        for child in walk_own(node)
+    )
 
 
 def _absolute_import(
@@ -321,7 +292,7 @@ def build_symbol_table(files: Sequence[SourceFile]) -> SymbolTable:
     for cls in table.classes.values():
         resolved_bases: List[str] = []
         for base in cls.node.bases:
-            dotted = _dotted_name(base)
+            dotted = dotted_name(base)
             if dotted is None:
                 continue
             target = table.resolve_dotted(cls.module, dotted)
@@ -487,7 +458,7 @@ def infer_expr_type(
             or infer_expr_type(table, func, local_types, expr.orelse)
         )
     if isinstance(expr, ast.Call):
-        dotted = _dotted_name(expr.func)
+        dotted = dotted_name(expr.func)
         if dotted:
             resolved = table.resolve_dotted(func.module, dotted)
             if resolved in table.classes:
@@ -518,7 +489,7 @@ def infer_expr_type(
             if cls and expr.attr in cls.attr_types:
                 return cls.attr_types[expr.attr]
             return None
-        dotted = _dotted_name(expr)
+        dotted = dotted_name(expr)
         if dotted:
             # Module-level variable accessed through the module object
             # (e.g. ``_races._ACTIVE`` with a typed annotation).

@@ -43,6 +43,11 @@ R009      A function mutates a rule container (``.pdrs``, ``.fars``,
 
 Findings on a line carrying ``# repro: noqa`` (all rules) or
 ``# repro: noqa[R001,R005]`` (specific rules) are suppressed.
+
+The AST helpers every check shares live here too, since no runtime
+module imports this one: :func:`dotted_name`, :func:`walk_own` (one
+scope, nested defs/lambdas/classes opaque) and :func:`in_modules`
+(the exact-or-dotted-prefix module test).
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, Union,
+)
 
 from .lifecycle import RULE_ATTRS, SHARED_ATTRS, attr_mutations
 
@@ -63,6 +70,9 @@ __all__ = [
     "RULE_REGISTRY",
     "register_rule",
     "all_rules",
+    "dotted_name",
+    "walk_own",
+    "in_modules",
 ]
 
 
@@ -199,7 +209,7 @@ class Rule:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -209,6 +219,34 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+#: Nodes that open a scope of their own: their bodies run (if at all)
+#: when called or built, not when the enclosing code runs.
+NESTED_SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+)
+
+
+def walk_own(node: ast.AST) -> Iterator[ast.AST]:
+    """Yield ``node`` and the sub-nodes of its own scope.  A nested
+    def/lambda/class is yielded but not entered."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        if current is node or not isinstance(current, NESTED_SCOPES):
+            stack.extend(ast.iter_child_nodes(current))
+
+
+def in_modules(module: str, prefixes: Iterable[str]) -> bool:
+    """True when ``module`` is one of ``prefixes`` or inside one of
+    them as a package (``pkg.obs`` covers ``pkg.obs.trace``, never
+    ``pkg.observer``)."""
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +282,7 @@ class WallClockRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             if dotted in self.FORBIDDEN:
@@ -299,7 +337,7 @@ class UnseededRandomRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is None:
                 continue
             if dotted in self.MODULE_FUNCS:
@@ -342,7 +380,7 @@ class BlockingSleepRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted in sleep_aliases:
                 yield self.finding(
                     ctx,
@@ -395,7 +433,7 @@ class FrozenMessageRule(Rule):
         if isinstance(decorator, ast.Name) and decorator.id == "dataclass":
             return False
         if isinstance(decorator, ast.Call):
-            dotted = _dotted(decorator.func)
+            dotted = dotted_name(decorator.func)
             if dotted in ("dataclass", "dataclasses.dataclass"):
                 for kw in decorator.keywords:
                     if kw.arg == "frozen":
@@ -405,7 +443,7 @@ class FrozenMessageRule(Rule):
                         )
                 return False
         if isinstance(decorator, ast.Attribute):
-            if _dotted(decorator) == "dataclasses.dataclass":
+            if dotted_name(decorator) == "dataclasses.dataclass":
                 return False
         return None
 
@@ -447,7 +485,7 @@ class NowEqualityRule(Rule):
     @staticmethod
     def _is_approx(node: ast.AST) -> bool:
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted and dotted.split(".")[-1] == "approx":
                 return True
         return False
@@ -494,7 +532,7 @@ class MutableDefaultRule(Rule):
                              ast.DictComp, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             return dotted in ("list", "dict", "set", "bytearray")
         return False
 

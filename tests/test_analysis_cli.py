@@ -1,7 +1,8 @@
 """Tests of the analysis command, ``python -m repro.analysis``, that
-span every kind of check: one JSON schema, one parse per file, path
-normalisation, the ``tests/`` exclusion of the whole-program checks,
-unknown codes, and how a run scopes the baseline and budget files.
+span every kind of check: one JSON schema, one parse per file, one
+call graph and one CFG per function, path normalisation, the
+``tests/`` exclusion of the whole-program checks, unknown codes, and
+how a run scopes the baseline and budget files.
 
 Each kind of check through the command is tested beside its other
 tests: the file-local rules in ``test_analysis_lint.py``, W001–W004 in
@@ -10,12 +11,14 @@ tests: the file-local rules in ``test_analysis_lint.py``, W001–W004 in
 
 import json
 import os
+import sys
 import textwrap
 
 import pytest
 
 from repro.analysis import report
 from repro.analysis.__main__ import main
+from repro.analysis.program import callgraph
 from repro.analysis.rules import FileContext, Finding
 
 #: File-local fixture: R001 on line 2 (R006 and friends only fire
@@ -69,6 +72,16 @@ def tree(tmp_path, monkeypatch):
         return tmp_path
 
     return write
+
+
+def _counting(function, seen):
+    """``function``, recording the arguments of every call in ``seen``."""
+
+    def wrapper(*args, **kwargs):
+        seen.append(args)
+        return function(*args, **kwargs)
+
+    return wrapper
 
 
 def json_run(args, capsys):
@@ -177,6 +190,27 @@ class TestOneRun:
         assert data["stats"]["cfgs"] > 0 and data["hot_path"]
         assert sorted(parsed) == sorted(set(parsed))
         assert len(parsed) == 7
+
+    def test_one_call_graph_and_one_cfg_per_function(
+        self, tree, capsys, monkeypatch
+    ):
+        tree({**PROGRAM, **{"pkg/up/emit.py": DIRTY["pkg/up.py"]}})
+        calls = {"build_call_graph": [], "build_cfg": []}
+        # Count through every module-level binding of the two builders.
+        for name, seen in calls.items():
+            original = getattr(callgraph, name)
+            counting = _counting(original, seen)
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith(
+                    "repro.analysis"
+                ) and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        assert main(["pkg", "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert {f["code"] for f in data["findings"]} >= {"W001", "W005"}
+        assert len(calls["build_call_graph"]) == 1
+        built = [args[1] for args in calls["build_cfg"]]
+        assert built and len(built) == len(set(built))
 
     def test_overlapping_paths_report_each_file_once(self, tree, capsys):
         tree({LINT_PATH: LINT_BAD})

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis import rules as rules_mod
 from repro.analysis.__main__ import catalog, main
 from repro.analysis.lifecycle import SHARED_ATTRS, attr_mutations
-from repro.analysis.program import build_symbol_table, summarize
+from repro.analysis.program import analyze_program
 from repro.analysis.lint import lint_file, lint_paths
 from repro.analysis.report import (
     apply_baseline,
@@ -518,8 +518,8 @@ class TestMissingEpochBumpR009:
 
 class TestSharedMutationMatcher:
     """``lifecycle.attr_mutations`` is the one matcher behind R008, R009
-    and the W002 summaries; every write form must be seen the same way
-    by the file-local rule and the whole-program summary."""
+    and W002; every write form must be seen the same way by the
+    file-local rules and the whole-program check."""
 
     @pytest.mark.parametrize("stmt, attr, receiver", [
         ("s.pdrs = {}", "pdrs", "s"),
@@ -540,9 +540,8 @@ class TestSharedMutationMatcher:
         assert sorted(codes(run_lint(source))) == ["R008", "R009"]
         path = tmp_path / "mod.py"
         path.write_text(source)
-        summary = summarize(build_symbol_table([(str(path), source)]))
-        sites = summary["mod.edit"].rule_mutations
-        assert [(m.attr, m.lineno) for m in sites] == [(attr, 2)]
+        report = analyze_program([(str(path), source)])
+        assert [(f.code, f.line) for f in report.findings] == [("W002", 2)]
 
     @pytest.mark.parametrize("stmt", [
         "x = s.pdrs[k]",

@@ -88,6 +88,25 @@ class TestW005Descriptor:
                    for s in finding.chain)
         assert any("writes .seq" in s for s in finding.chain)
 
+    def test_mutation_through_method_helper_on_self(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/up.py": """
+                class Emitter:
+                    def _mark(self, desc):
+                        desc.seq = 2
+
+                    def emit(self, chan, desc):
+                        chan.send(desc)
+                        self._mark(desc)
+            """,
+        }, checks=["W005"])
+        assert [(f.code, f.line) for f in report.findings] == [("W005", 8)]
+        finding = report.findings[0]
+        assert lifecycle.MUTATE_AFTER_SEND in finding.message
+        assert any("passes 'desc' to pkg.up.Emitter._mark" in s
+                   for s in finding.chain)
+
     def test_branch_where_only_one_path_sends(self, tmp_path):
         report = run_checks(tmp_path, {
             "pkg/__init__.py": "",
@@ -461,6 +480,20 @@ class TestSharedMachinery:
             """,
         })
         assert report.findings == []
+
+    def test_module_sharing_a_prefix_with_one_is_checked(self, tmp_path):
+        # ``pkg.observer`` is not inside the ``pkg.obs`` package.
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/obs/__init__.py": "",
+            "pkg/observer.py": """
+                def emit(chan, desc):
+                    chan.send(desc)
+                    desc.seq = 2
+            """,
+        })
+        assert [(f.code, f.line) for f in report.findings] == [("W005", 4)]
+        assert report.findings[0].path.endswith("observer.py")
 
     def test_messages_are_line_free_for_baseline_immunity(self, tmp_path):
         # Baseline keys are (path, code, message): the message must not

@@ -170,6 +170,88 @@ class TestW002InterproceduralEpochBump:
         assert codes(report) == ["W002"]
         assert "yield" in report.findings[0].message
 
+    def test_bump_inside_nested_lambda_does_not_publish(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": """
+                class Session:
+                    def public(self, k, v):
+                        self.pdrs[k] = v
+                        publish = lambda: self.epoch.bump()
+                        return publish
+            """,
+        }, entry_points=[])
+        assert [(f.code, f.line) for f in report.findings] == [("W002", 4)]
+
+    def test_bump_inside_nested_def_does_not_publish(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": """
+                class Session:
+                    def public(self, k, v):
+                        self.pdrs[k] = v
+
+                        def publish():
+                            self.epoch.bump()
+                        return publish
+            """,
+        }, entry_points=[])
+        assert [(f.code, f.line) for f in report.findings] == [("W002", 4)]
+
+    def test_handler_return_before_bump_is_flagged(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": """
+                class Session:
+                    def public(self, k, v):
+                        try:
+                            self.pdrs[k] = v
+                            self.validate(v)
+                        except ValueError:
+                            return
+                        self.epoch.bump()
+
+                    def validate(self, v):
+                        if v is None:
+                            raise ValueError(v)
+            """,
+        }, entry_points=[])
+        assert [(f.code, f.line) for f in report.findings] == [("W002", 5)]
+
+    def test_handler_that_bumps_before_return_is_clean(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": """
+                class Session:
+                    def public(self, k, v):
+                        try:
+                            self.pdrs[k] = v
+                            self.validate(v)
+                        except ValueError:
+                            self.epoch.bump()
+                            return
+                        self.epoch.bump()
+
+                    def validate(self, v):
+                        if v is None:
+                            raise ValueError(v)
+            """,
+        }, entry_points=[])
+        assert codes(report) == []
+
+    def test_mutation_after_bump_in_loop_body_is_flagged(self, tmp_path):
+        report = run_checks(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/mod.py": """
+                class Session:
+                    def public(self, items):
+                        for k, v in items:
+                            self.epoch.bump()
+                            self.pdrs[k] = v
+            """,
+        }, entry_points=[])
+        assert [(f.code, f.line) for f in report.findings] == [("W002", 6)]
+
     def test_init_population_is_exempt(self, tmp_path):
         report = run_checks(tmp_path, {
             "pkg/__init__.py": "",
