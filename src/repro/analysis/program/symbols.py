@@ -178,7 +178,9 @@ class SymbolTable:
         base = self.resolve_method(class_qualname, method)
         if base is not None:
             targets.append(base)
-        stack = list(self.subclasses.get(class_qualname, ()))
+        # Sorted: the fan-out order reaches the --graph output, which
+        # must not move with the string hash seed.
+        stack = sorted(self.subclasses.get(class_qualname, ()))
         seen: Set[str] = set()
         while stack:
             sub = stack.pop()
@@ -188,7 +190,7 @@ class SymbolTable:
             info = self.classes.get(sub)
             if info is not None and method in info.methods:
                 targets.append(info.methods[method])
-            stack.extend(self.subclasses.get(sub, ()))
+            stack.extend(sorted(self.subclasses.get(sub, ())))
         # Preserve order, drop duplicates.
         unique: List[str] = []
         for target in targets:

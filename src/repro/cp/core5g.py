@@ -415,12 +415,13 @@ class FiveGCore:
             + self.costs.lan_propagation
             + packet.meta.pop("extra_delay", 0.0)
         )
+        # One function for every gNB, so the deliveries of a burst that
+        # land together share one heap entry.
+        self.env.call_later(delay, self._n3_arrival, gnb, packet, ue)
 
-        def _deliver():
-            yield self.env.timeout(delay)
-            gnb.receive_downlink(packet, ue)
-
-        self.env.process(_deliver())
+    @staticmethod
+    def _n3_arrival(gnb: GNodeB, packet: Packet, ue: UserEquipment) -> None:
+        gnb.receive_downlink(packet, ue)
 
     def _report_to_smf(self, report: SessionReportRequest) -> None:
         """UPF-C -> SMF downlink data report, then the paging hook."""

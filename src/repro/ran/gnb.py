@@ -121,7 +121,12 @@ class GNodeB:
             if not store.put_nowait_drop(packet):
                 self.dropped += 1
             return
-        self.env.process(self._air_delivery(packet, ue))
+        # The class function rather than the bound method: air
+        # deliveries that land together share one heap entry across
+        # gNBs.
+        self.env.call_later(
+            self.radio_latency, GNodeB._air_delivery, self, packet, ue
+        )
 
     def drain_buffer(self, ue: UserEquipment) -> List[Packet]:
         """Release all buffered packets for hairpin forwarding.
@@ -134,8 +139,7 @@ class GNodeB:
             return []
         return store.clear()
 
-    def _air_delivery(self, packet: Packet, ue: UserEquipment):
-        yield self.env.timeout(self.radio_latency)
+    def _air_delivery(self, packet: Packet, ue: UserEquipment) -> None:
         if ue.supi in self.connected:
             ue.deliver(packet, self.env.now)
             self.delivered += 1
@@ -150,12 +154,7 @@ class GNodeB:
         self, packet: Packet, forward: Callable[[Packet], None]
     ) -> None:
         """Carry a UE's UL packet over the air, then into the N3 tunnel."""
-
-        def _deliver():
-            yield self.env.timeout(self.radio_latency)
-            forward(packet)
-
-        self.env.process(_deliver())
+        self.env.call_later(self.radio_latency, forward, packet)
 
     def __repr__(self) -> str:
         return (

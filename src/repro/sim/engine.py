@@ -3,12 +3,18 @@
 A small, dependency-free event simulator in the style of SimPy: an
 :class:`Environment` owns a simulated clock and an event heap; *processes*
 are Python generators that yield :class:`Event` objects and are resumed
-when those events fire.
+when those events fire.  :meth:`Environment.call_later` is the cheap
+alternative for fixed-delay work that never waits again (packet
+delivery): one heap entry that calls a plain function, with no
+generator, process or event.
 
-The engine is deterministic: events scheduled for the same simulated time
-fire in FIFO order of scheduling (a monotonically increasing sequence
-number breaks ties), so simulation runs are exactly reproducible given the
-same seed for any randomness injected by the model.
+The engine is deterministic: heap entries scheduled for the same
+simulated time fire in FIFO order of scheduling (a monotonically
+increasing sequence number breaks ties), so simulation runs are exactly
+reproducible given the same seed for any randomness injected by the
+model.  Consecutive ``call_later`` calls of one function for one instant
+share a heap entry; they would have popped back to back anyway, so the
+order is unchanged.
 
 Time is measured in **seconds** as a float.  The module exposes the
 convenience constants :data:`US` and :data:`MS` so models can write
@@ -218,7 +224,7 @@ class Process(Event):
         self.env._active_process = self
         detector = _races._ACTIVE
         if detector is not None:
-            detector.on_resume(self)
+            detector.on_resume(self.env)
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -315,6 +321,17 @@ class AnyOf(_Condition):
         self.succeed(self._collect())
 
 
+class _Calls:
+    """One heap entry of :meth:`Environment.call_later`: ``fn`` applied
+    to each argument tuple of ``args`` in turn."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: Callable[..., Any], args: tuple):
+        self.fn = fn
+        self.args = [args]
+
+
 class Environment:
     """The simulation world: clock plus event heap.
 
@@ -329,9 +346,15 @@ class Environment:
         self._heap: List[tuple] = []
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
-        #: Monotonic count of process resumes; each value identifies
-        #: one yield-to-yield atomic section (see repro.analysis.races).
+        #: Monotonic count of process resumes and ``call_later`` calls;
+        #: each value identifies one atomic section (see
+        #: repro.analysis.races).
         self.yield_generation = 0
+        # The pending call_later entry scheduled last (None once
+        # anything else is scheduled or it pops), and its time: the one
+        # entry a new call may join.
+        self._open_calls: Optional[_Calls] = None
+        self._open_at = 0.0
 
     @property
     def now(self) -> float:
@@ -358,6 +381,31 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
 
+    def call_later(
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now.
+
+        The call takes one heap entry and no generator, process or
+        event, so nothing can wait on it.  It runs as its own atomic
+        section, like a process resume, with :attr:`active_process`
+        ``None``.  An exception it raises propagates out of
+        :meth:`step`.  A call for the same time and the same ``fn`` as
+        the pending call scheduled last joins that call's heap entry
+        instead of taking a new one.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay: {delay!r}")
+        when = self._now + delay
+        calls = self._open_calls
+        if calls is not None and self._open_at == when and calls.fn == fn:
+            calls.args.append(args)
+            return
+        calls = _Calls(fn, args)
+        heapq.heappush(self._heap, (when, next(self._counter), calls))
+        self._open_calls = calls
+        self._open_at = when
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -371,6 +419,7 @@ class Environment:
         if event._scheduled:
             raise SimulationError("event scheduled twice")
         event._scheduled = True
+        self._open_calls = None
         heapq.heappush(self._heap, (self._now + delay, next(self._counter), event))
 
     def peek(self) -> float:
@@ -378,16 +427,45 @@ class Environment:
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one heap entry.
+
+        The entry is one event (its callbacks run) or one
+        :meth:`call_later` entry, which runs each call it holds in
+        scheduling order.
+        """
         if not self._heap:
             raise SimulationError("no scheduled events")
-        when, _seq, event = heapq.heappop(self._heap)
+        when, seq, event = heapq.heappop(self._heap)
         self._now = when
+        if event.__class__ is _Calls:
+            self._run_calls(when, seq, event)
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         if event._ok is False and not event._defused:
             raise event._value
+
+    def _run_calls(self, when: float, seq: int, calls: _Calls) -> None:
+        if calls is self._open_calls:
+            self._open_calls = None
+        fn, pending = calls.fn, calls.args
+        done = 0
+        try:
+            for args in pending:
+                done += 1
+                self.yield_generation += 1
+                detector = _races._ACTIVE
+                if detector is not None:
+                    detector.on_resume(self)
+                fn(*args)
+        except BaseException:
+            # Put the calls not yet made back under the same key, so a
+            # caller that handles the error and runs on still makes them.
+            if done < len(pending):
+                calls.args = pending[done:]
+                heapq.heappush(self._heap, (when, seq, calls))
+            raise
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or the clock reaches ``until``.

@@ -318,6 +318,56 @@ class TestSeededMissingEpochBump:
         assert "test_analysis_races.py" in violation.second.site
         assert "RuleEpoch.bump()" in violation.detail
 
+    @staticmethod
+    def _unbumped_write(det, session):
+        with det.role("upf-c"):
+            session.fars[9] = "far"  # repro: noqa[R008,R009] — seeded bug
+            det.on_write(
+                session,
+                "fars",
+                value=sorted(session.fars),
+                detail="install_far(9) without bump",
+            )
+
+    @staticmethod
+    def _summary(violations):
+        return [
+            (v.kind, v.structure, v.part, v.owner, v.second.role, v.detail)
+            for v in violations
+        ]
+
+    @pytest.mark.parametrize("gap", [0.0, 1.0])
+    def test_callbacks_flag_stale_bump_like_process_resumes(self, gap):
+        """Two call_later calls are two atomic sections, as two process
+        resumes are, also when they share one heap entry (gap 0)."""
+        env = Environment()
+        with races.traced(env=env) as det:
+
+            def buggy_cp(session):
+                self._unbumped_write(det, session)
+                yield env.timeout(gap)
+
+            env.process(buggy_cp(_session()))
+            env.run()
+        by_process = self._summary(det.violations)
+
+        env = Environment()
+        with races.traced(env=env) as det:
+
+            def section(session):
+                if session is not None:
+                    self._unbumped_write(det, session)
+
+            env.call_later(0.0, section, _session())
+            env.call_later(gap, section, None)
+            assert len(env._heap) == (1 if gap == 0.0 else 2)
+            env.run()
+        by_callback = self._summary(det.violations)
+
+        assert len(by_process) == 1
+        assert by_callback == by_process
+        assert "before the next yield" in by_callback[0][-1]
+
     def test_unbumped_mutation_flagged_at_finish(self):
         with races.traced() as det:
             session = _session()

@@ -125,6 +125,39 @@ class TestOutputs:
         pairs = {(e["caller"], e["callee"]) for e in data["edges"]}
         assert ("pkg.up.mod.UPF.process", "pkg.up.mod.UPF._helper") in pairs
 
+    def test_graph_json_is_stable_across_hash_seeds(self, fixture_dir):
+        # Virtual dispatch fans out over the subclasses, which the
+        # symbol table keeps in sets; string-hash order must not leak.
+        source = ["class Handler:\n    def handle(self):\n        pass\n"]
+        source += [
+            f"class H{i}(Handler):\n    def handle(self):\n        pass\n"
+            for i in range(12)
+        ]
+        source.append(
+            "def dispatch(handler: Handler):\n    handler.handle()\n"
+        )
+        (fixture_dir / "pkg" / "up" / "handlers.py").write_text(
+            "\n".join(source)
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.analysis", "pkg",
+                 "--graph", "json"],
+                capture_output=True, env=env, cwd=fixture_dir, check=True,
+            )
+            outputs.append(result.stdout)
+        callees = [
+            edge["callee"]
+            for edge in json.loads(outputs[0])["edges"]
+            if edge["caller"] == "pkg.up.handlers.dispatch"
+        ]
+        assert len(callees) == 13
+        assert outputs[0] == outputs[1]
+
     def test_graph_dot_focused_on_entries(self, fixture_dir, capsys):
         code = main(["pkg", "--graph", "dot", "--graph-focus", ENTRY])
         out = capsys.readouterr().out

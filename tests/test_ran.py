@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.net import Packet
+from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.net import Direction, FiveTuple, Packet
 from repro.ran import CMState, GNodeB, PDUSession, RMState, UserEquipment
 from repro.ran.ue import StateError
 from repro.sim import Environment
@@ -144,3 +145,56 @@ class TestGNodeB:
         env.run()
         assert len(forwarded) == 1
         assert env.now == pytest.approx(0.002)
+
+
+class TestDeliveryFireTime:
+    """A delivery reads the gNB's state when it lands, not when it is
+    sent: the N3 leg and the radio leg each decide at their end."""
+
+    def _core_with_session(self):
+        env = Environment()
+        core = FiveGCore(env, SystemConfig.l25gc())
+        runner = ProcedureRunner(core)
+        ue = core.add_ue("imsi-208930000070001")
+        details = {}
+
+        def attach():
+            yield from runner.register_ue(ue, gnb_id=1)
+            result = yield from runner.establish_session(ue)
+            details.update(result.detail)
+
+        env.process(attach())
+        env.run()
+        packet = Packet(
+            direction=Direction.DOWNLINK,
+            flow=FiveTuple(src_ip=1, dst_ip=details["ue_ip"],
+                           src_port=80, dst_port=4000),
+            created_at=env.now,
+        )
+        return env, core, core.gnbs[1], ue, packet
+
+    def test_ue_leaving_during_the_radio_leg_is_a_drop(self):
+        env, core, gnb, ue, packet = self._core_with_session()
+        core.inject_downlink(packet)
+        n3_arrival = env.peek()
+        assert n3_arrival > env.now
+        env.run(until=n3_arrival)
+        # The packet left N3 and is on the air.
+        assert env.peek() == pytest.approx(n3_arrival + gnb.radio_latency)
+        gnb.disconnect(ue)
+        env.run()
+        assert ue.received == []
+        assert gnb.delivered == 0
+        assert gnb.dropped == 1
+
+    def test_buffering_started_during_the_n3_leg_queues_the_packet(self):
+        env, core, gnb, ue, packet = self._core_with_session()
+        core.inject_downlink(packet)
+        n3_arrival = env.peek()
+        env.run(until=(env.now + n3_arrival) / 2)
+        gnb.start_buffering(ue)
+        env.run()
+        assert ue.received == []
+        assert gnb.buffered_count(ue.supi) == 1
+        assert gnb.dropped == 0
+        assert gnb.drain_buffer(ue) == [packet]
